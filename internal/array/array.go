@@ -181,7 +181,9 @@ type Store interface {
 	// lo..hi inclusive index values) of materialized cells. Bounded
 	// dimensions report their declared bounds.
 	Bounds() (lo, hi []int64, ok bool)
-	// Clone deep-copies the store.
+	// Clone returns an independent copy of the store: writes to either
+	// side are never visible to the other. Stores may share cells
+	// between the two until a write (see CopyMeter).
 	Clone() Store
 }
 
@@ -242,6 +244,14 @@ type ChunkStats struct {
 // len(stats) == len(chunks) before pairing them.
 type StatsProvider interface {
 	ChunkStats(target int) []ChunkStats
+}
+
+// CopyMeter is implemented by stores whose Clone shares storage
+// copy-on-write, so that the copying happens on later writes. After
+// MeterCopies(add), the store reports the bytes of every copy it makes
+// to add.
+type CopyMeter interface {
+	MeterCopies(add func(bytes int64))
 }
 
 // AllAttrs expands ChunkedScanner's nil attribute selection to the

@@ -274,10 +274,11 @@ type Catalog struct {
 	writeMu sync.Mutex
 	ver     atomic.Int64
 	// cloneCount/cloneBytes count copy-on-write object privatizations
-	// (ArrayForWrite, TableForWrite). Both are optional — telemetry
-	// instruments no-op on nil receivers — and cloneBytes is a
-	// documented estimate: 16 bytes per cell value, dimensions and
-	// attributes alike.
+	// (ArrayForWrite, TableForWrite) and the bytes they copy. Both are
+	// optional — telemetry instruments no-op on nil receivers. Stores
+	// that copy chunk by chunk (array.CopyMeter) report the bytes they
+	// actually copy; for the others cloneBytes is an estimate of 16
+	// bytes per cell value, dimensions and attributes alike.
 	cloneCount *telemetry.Counter
 	cloneBytes *telemetry.Counter
 }
@@ -453,7 +454,9 @@ func (m *Mutation) touch(k string, schema bool) {
 
 // ArrayForWrite returns a private, mutable version of the named
 // array: the first call clones the store (copy-on-write), later calls
-// return the same clone. ok is false when the name is not an array.
+// return the same clone. Dense stores share their chunks with the
+// clone and copy a chunk on its first write. ok is false when the
+// name is not an array.
 func (m *Mutation) ArrayForWrite(name string) (*array.Array, bool) {
 	k := key(name)
 	a, ok := m.work.arrays[k]
@@ -466,7 +469,11 @@ func (m *Mutation) ArrayForWrite(name string) (*array.Array, bool) {
 		m.cloned[k] = true
 		m.touch(k, false)
 		m.c.cloneCount.Inc()
-		m.c.cloneBytes.Add(int64(a.Store.Len()) * int64(len(a.Schema.Dims)+len(a.Schema.Attrs)) * 16)
+		if cm, isCM := a.Store.(array.CopyMeter); isCM {
+			cm.MeterCopies(m.c.cloneBytes.Add)
+		} else {
+			m.c.cloneBytes.Add(int64(a.Store.Len()) * int64(len(a.Schema.Dims)+len(a.Schema.Attrs)) * 16)
+		}
 	}
 	return a, true
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -235,5 +236,48 @@ func TestSchemaVersionIgnoresDataWrites(t *testing.T) {
 	}
 	if got := c.Snapshot().SchemaVersion(); got == sv {
 		t.Fatal("DDL did not move the schema version")
+	}
+}
+
+// TestCloneBytesCountChunkCopies: privatizing a dense array copies
+// nothing up front, and each write copies the one chunk it lands in,
+// which is what the clone-bytes counter reports.
+func TestCloneBytesCountChunkCopies(t *testing.T) {
+	sch := array.Schema{
+		Dims: []array.Dimension{
+			{Name: "x", Typ: value.Int, Start: 0, End: 1024, Step: 1},
+			{Name: "y", Typ: value.Int, Start: 0, End: 1024, Step: 1},
+		},
+		Attrs: []array.Attr{{Name: "v", Typ: value.Float, Default: value.NewFloat(0)}},
+	}
+	st, err := storage.New(sch, storage.Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	reg := telemetry.NewRegistry()
+	clones, bytes := reg.Counter("clones"), reg.Counter("bytes")
+	c.SetMetrics(clones, bytes)
+	if err := c.PutArray(&array.Array{Name: "m", Schema: sch, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	// One 4096-cell chunk of a FLOAT column: the values and the
+	// validity words.
+	const chunkBytes = 4096*8 + 4096/8
+	m := c.BeginExclusive()
+	w, _ := m.ArrayForWrite("m")
+	if got := bytes.Value(); got != 0 {
+		t.Fatalf("clone copied %d bytes before any write", got)
+	}
+	for _, xy := range [][]int64{{5, 5}, {5, 6}, {900, 3}} {
+		if err := w.Set(xy, 0, value.NewFloat(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if clones.Value() != 1 || bytes.Value() != 2*chunkBytes {
+		t.Fatalf("clones=%d bytes=%d, want 1 clone and two chunks (%d bytes)", clones.Value(), bytes.Value(), 2*chunkBytes)
 	}
 }

@@ -47,12 +47,13 @@ func (pc planCatalog) ArrayStats(name string) (plan.Stats, bool) {
 			}
 		}
 		if sp, isSP := a.Store.(array.StatsProvider); isSP && st.Rows > 0 {
-			// A single-chunk zone map is the whole-array summary.
+			// Fold every chunk's zone map into whole-array summaries.
+			chunks := sp.ChunkStats(1)
 			for ai, at := range a.Schema.Attrs {
 				var nulls int64
 				minV, maxV := math.Inf(1), math.Inf(-1)
 				have := false
-				for _, cs := range sp.ChunkStats(1) {
+				for _, cs := range chunks {
 					if ai >= len(cs.Attrs) {
 						continue
 					}

@@ -80,9 +80,12 @@ type Evaluator struct {
 	Rand *rand.Rand
 }
 
-// New returns an evaluator with a deterministic RAND() stream.
+// New returns an evaluator with a deterministic RAND() stream. The
+// generator is seeded on the first RAND() call, not here: seeding
+// costs more than the rest of session setup, and most sessions never
+// call RAND().
 func New() *Evaluator {
-	return &Evaluator{Rand: rand.New(rand.NewSource(42))}
+	return &Evaluator{}
 }
 
 // Eval computes e under env.

@@ -165,6 +165,23 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandFreshSessionStream pins the first RAND() values of a fresh
+// evaluator, so seeding lazily keeps the stream every session saw when
+// the seed was drawn eagerly.
+func TestRandFreshSessionStream(t *testing.T) {
+	ev := New()
+	e, _ := parser.ParseExpr("RAND()")
+	for i, want := range []int64{1602144611, 283469975, 2594563336} {
+		v, err := ev.Eval(e, &MapEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.I != want {
+			t.Errorf("RAND() #%d = %d, want %d", i+1, v.I, want)
+		}
+	}
+}
+
 func TestCast(t *testing.T) {
 	if got := eval(t, "CAST(3.7 AS INTEGER)", nil); got.Typ != value.Int || got.I != 3 {
 		t.Errorf("CAST float->int = %v", got)

@@ -6,6 +6,9 @@
 package storage
 
 import (
+	"math/bits"
+	"unsafe"
+
 	"repro/internal/array"
 	"repro/internal/value"
 )
@@ -130,10 +133,40 @@ func (c *column) grow() int {
 	return i
 }
 
-// fill writes v into every position [0,n).
+// fill writes v into every position [0,n) of a fresh (all-NULL)
+// column.
 func (c *column) fill(v value.Value, n int) {
-	for i := 0; i < n; i++ {
-		c.set(i, v)
+	if v.Null {
+		return
+	}
+	c.set(0, v)
+	switch c.typ {
+	case value.Float:
+		for i := 1; i < n; i++ {
+			c.f[i] = c.f[0]
+		}
+	case value.Int, value.Timestamp:
+		for i := 1; i < n; i++ {
+			c.i[i] = c.i[0]
+		}
+	case value.String:
+		for i := 1; i < n; i++ {
+			c.s[i] = c.s[0]
+		}
+	case value.Bool:
+		for i := 1; i < n; i++ {
+			c.b[i] = c.b[0]
+		}
+	default:
+		for i := 1; i < n; i++ {
+			c.a[i] = c.a[0]
+		}
+	}
+	for w := 0; w < n/64; w++ {
+		c.valid[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		c.valid[n/64] = 1<<(uint(n)%64) - 1
 	}
 }
 
@@ -145,6 +178,106 @@ func (c *column) clone() *column {
 	out.b = append([]bool(nil), c.b...)
 	out.a = append([]value.Value(nil), c.a...)
 	return out
+}
+
+// bytes is the size of the column's data and validity words, the
+// amount clone copies.
+func (c *column) bytes() int64 {
+	n := 8*len(c.f) + 8*len(c.i) + 16*len(c.s) + len(c.b) + 8*len(c.valid)
+	if len(c.a) > 0 {
+		n += len(c.a) * int(unsafe.Sizeof(value.Value{}))
+	}
+	return int64(n)
+}
+
+// minMax returns the minimum and maximum non-NULL value in
+// value.Compare order, the first of equal values winning; both are
+// NULL when there is none.
+func (c *column) minMax() (lo, hi value.Value) {
+	switch c.typ {
+	case value.Float:
+		if l, h, ok := minMaxOf(c.f, c.valid); ok {
+			return value.NewFloat(l), value.NewFloat(h)
+		}
+	case value.Int:
+		if l, h, ok := minMaxOf(c.i, c.valid); ok {
+			return value.NewInt(l), value.NewInt(h)
+		}
+	case value.Timestamp:
+		if l, h, ok := minMaxOf(c.i, c.valid); ok {
+			return value.NewTimestamp(l), value.NewTimestamp(h)
+		}
+	case value.String:
+		if l, h, ok := minMaxOf(c.s, c.valid); ok {
+			return value.NewString(l), value.NewString(h)
+		}
+	case value.Bool:
+		have, lo, hi := false, true, false
+		for i, b := range c.b {
+			if c.isValid(i) {
+				have = true
+				lo, hi = lo && b, hi || b
+			}
+		}
+		if have {
+			return value.NewBool(lo), value.NewBool(hi)
+		}
+	default:
+		have := false
+		for i, v := range c.a {
+			if !c.isValid(i) {
+				continue
+			}
+			if !have || value.Compare(v, lo) < 0 {
+				lo = v
+			}
+			if !have || value.Compare(v, hi) > 0 {
+				hi = v
+			}
+			have = true
+		}
+		if have {
+			return lo, hi
+		}
+	}
+	return value.NewNull(c.typ), value.NewNull(c.typ)
+}
+
+// minMaxOf scans the valid entries of data in position order, word by
+// word: all-NULL words are skipped and all-valid words need no bit
+// tests.
+func minMaxOf[T int64 | float64 | string](data []T, valid []uint64) (lo, hi T, ok bool) {
+	for w := 0; w*64 < len(data); w++ {
+		seg := data[w*64 : min(w*64+64, len(data))]
+		vw := valid[w]
+		if vw == ^uint64(0) {
+			if !ok {
+				lo, hi, ok = seg[0], seg[0], true
+			}
+			for _, v := range seg {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			continue
+		}
+		for ; vw != 0; vw &= vw - 1 {
+			v := seg[bits.TrailingZeros64(vw)]
+			if !ok {
+				lo, hi, ok = v, v, true
+			}
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+	}
+	return lo, hi, ok
 }
 
 // defaultValue resolves an attribute's creation-time default for the

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/array"
 	"repro/internal/value"
@@ -12,18 +13,28 @@ import (
 // D-Order (column-major, the "programming language compilation
 // technique" ordering). The index columns are never materialized —
 // the coordinate of a cell is derived from its position, exactly the
-// virtual-OID trick of MonetDB BATs (§2.2).
+// virtual-OID trick of MonetDB BATs (§2.2). The attribute columns are
+// cut into chunks of chunkCells consecutive positions, the unit of
+// copy-on-write and of zone maps.
 type linearStore struct {
 	scheme   string
 	dims     []array.Dimension
 	attrs    []array.Attr
 	sizes    []int64
 	strides  []int64
+	starts   []int64 // per-dimension first index value
+	steps    []int64
 	total    int64
-	cols     []*column
+	chunks   []*chunk // chunk i holds positions [i·chunkCells, (i+1)·chunkCells)
 	liveCnt  int
 	rowMajor bool
-	zm       zoneMaps
+	cow      cow
+	// allStats holds the assembled ChunkStats result until the next
+	// Set; clones share it with their source.
+	allStats atomic.Pointer[[]array.ChunkStats]
+	// derived counts the chunk zone maps this store derived from cell
+	// data, so tests can check that a write re-derives one chunk only.
+	derived atomic.Int64
 }
 
 // NewVirtual creates a row-major dense store. All dimensions must be
@@ -55,36 +66,65 @@ func newLinear(scheme string, schema array.Schema, rowMajor bool) (array.Store, 
 		total *= s.sizes[i]
 	}
 	s.total = total
+	s.steps = dimSteps(s.dims)
+	s.starts = make([]int64, len(s.dims))
 	s.strides = make([]int64, len(s.dims))
-	if rowMajor {
-		stride := int64(1)
-		for i := len(s.dims) - 1; i >= 0; i-- {
-			s.strides[i] = stride
-			stride *= s.sizes[i]
+	stride := int64(1)
+	for k := range s.dims {
+		i := k
+		if rowMajor {
+			i = len(s.dims) - 1 - k
 		}
-	} else {
-		stride := int64(1)
-		for i := 0; i < len(s.dims); i++ {
-			s.strides[i] = stride
-			stride *= s.sizes[i]
-		}
+		s.strides[i] = stride
+		stride *= s.sizes[i]
+		s.starts[i] = s.dims[i].Start
 	}
-	s.cols = make([]*column, len(s.attrs))
-	for ai, at := range s.attrs {
-		s.cols[ai] = newColumn(at.Typ, int(total))
+	s.cow.retire()
+	tok := s.cow.token()
+	for lo := int64(0); lo < total; lo += chunkCells {
+		s.chunks = append(s.chunks, newChunk(s.attrs, int(min(chunkCells, total-lo)), tok))
 	}
 	// Initialize every valid cell to the attribute defaults; cells
 	// carved out by dimension CHECKs stay holes (Fig. 2 forms).
-	coords := make([]int64, len(s.dims))
-	s.eachPosition(func(pos int64) {
-		s.coordsOf(pos, coords)
-		if !dimChecksPass(s.dims, coords) {
-			return
+	// Constant defaults resolve once; without dimension CHECKs or
+	// computed defaults every column is a plain fill.
+	consts := make([]value.Value, len(s.attrs))
+	perCell := false
+	for _, d := range s.dims {
+		perCell = perCell || d.Check != nil
+	}
+	for ai, at := range s.attrs {
+		if at.DefaultFn != nil {
+			perCell = true
+		} else {
+			consts[ai] = defaultValue(at, nil)
 		}
+	}
+	if !perCell {
+		for ai, dv := range consts {
+			for ci, c := range s.chunks {
+				c.cols[ai].fill(dv, s.chunkLen(ci))
+			}
+			if !dv.Null {
+				s.liveCnt = int(total)
+			}
+		}
+		return s, nil
+	}
+	coords := make([]int64, len(s.dims))
+	for p := int64(0); p < total; p++ {
+		s.coordsOf(p, coords)
+		if !dimChecksPass(s.dims, coords) {
+			continue
+		}
+		c, pos := s.chunks[p/chunkCells], int(p%chunkCells)
 		live := false
 		for ai, at := range s.attrs {
-			dv := defaultValue(at, coords)
-			s.cols[ai].set(int(pos), dv)
+			dv := consts[ai]
+			if at.DefaultFn != nil {
+				dv = defaultValue(at, coords)
+			}
+			c.cols[ai].set(pos, dv)
 			if !dv.Null {
 				live = true
 			}
@@ -92,14 +132,8 @@ func newLinear(scheme string, schema array.Schema, rowMajor bool) (array.Store, 
 		if live {
 			s.liveCnt++
 		}
-	})
-	return s, nil
-}
-
-func (s *linearStore) eachPosition(fn func(pos int64)) {
-	for p := int64(0); p < s.total; p++ {
-		fn(p)
 	}
+	return s, nil
 }
 
 // offset linearizes coordinates; -1 when out of range.
@@ -140,7 +174,7 @@ func (s *linearStore) Get(coords []int64, attr int) value.Value {
 	if off < 0 {
 		return value.NewNull(s.attrs[attr].Typ)
 	}
-	return s.cols[attr].get(int(off))
+	return s.chunks[off/chunkCells].cols[attr].get(int(off % chunkCells))
 }
 
 func (s *linearStore) Set(coords []int64, attr int, v value.Value) error {
@@ -148,10 +182,15 @@ func (s *linearStore) Set(coords []int64, attr int, v value.Value) error {
 	if off < 0 {
 		return fmt.Errorf("%s store: coordinates %v out of bounds", s.scheme, coords)
 	}
-	s.zm.bump()
-	wasHole := s.isHole(int(off))
-	s.cols[attr].set(int(off), v)
-	nowHole := s.isHole(int(off))
+	ci, pos := off/chunkCells, int(off%chunkCells)
+	c := s.cow.own(s.chunks[ci])
+	s.chunks[ci] = c
+	if s.allStats.Load() != nil {
+		s.allStats.Store(nil)
+	}
+	wasHole := c.isHole(pos)
+	c.cols[attr].set(pos, v)
+	nowHole := c.isHole(pos)
 	switch {
 	case wasHole && !nowHole:
 		s.liveCnt++
@@ -161,90 +200,87 @@ func (s *linearStore) Set(coords []int64, attr int, v value.Value) error {
 	return nil
 }
 
-func (s *linearStore) isHole(pos int) bool {
-	for _, c := range s.cols {
-		if c.isValid(pos) {
+func (s *linearStore) Scan(visit func(coords []int64, vals []value.Value) bool) {
+	cols := array.AllAttrs(nil, len(s.attrs))
+	coords := make([]int64, len(s.dims))
+	vals := make([]value.Value, len(cols))
+	for ci := range s.chunks {
+		if !s.scanChunk(ci, cols, coords, vals, visit) {
+			return
+		}
+	}
+}
+
+// chunkLen is the cell count of chunk ci; only the last chunk is short.
+func (s *linearStore) chunkLen(ci int) int {
+	return int(min(chunkCells, s.total-int64(ci)*chunkCells))
+}
+
+// scanChunk visits the live cells of chunk ci in position order,
+// materializing the attribute columns listed in cols; a false return
+// from visit stops the walk and is propagated.
+func (s *linearStore) scanChunk(ci int, cols []int, coords []int64, vals []value.Value, visit func(coords []int64, vals []value.Value) bool) bool {
+	c := s.chunks[ci]
+	base := int64(ci) * chunkCells
+	var live uint64
+	for p, n := 0, s.chunkLen(ci); p < n; p++ {
+		if p&63 == 0 {
+			live = c.liveWord(p >> 6)
+		}
+		if live&(1<<(uint(p)&63)) == 0 {
+			continue
+		}
+		s.coordsOf(base+int64(p), coords)
+		for vi, ai := range cols {
+			vals[vi] = c.cols[ai].get(p)
+		}
+		if !visit(coords, vals) {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *linearStore) Scan(visit func(coords []int64, vals []value.Value) bool) {
-	coords := make([]int64, len(s.dims))
-	vals := make([]value.Value, len(s.attrs))
-	for p := int64(0); p < s.total; p++ {
-		if s.isHole(int(p)) {
-			continue
-		}
-		s.coordsOf(p, coords)
-		for ai := range s.cols {
-			vals[ai] = s.cols[ai].get(int(p))
-		}
-		if !visit(coords, vals) {
-			return
-		}
-	}
-}
-
-// chunkRanges splits [0, total) into roughly target contiguous ranges.
-func chunkRanges(total int64, target int) [][2]int64 {
-	if total <= 0 {
-		return nil
-	}
-	if target < 1 {
-		target = 1
-	}
-	size := (total + int64(target) - 1) / int64(target)
-	if size < 1 {
-		size = 1
-	}
-	out := make([][2]int64, 0, target)
-	for lo := int64(0); lo < total; lo += size {
-		hi := lo + size
-		if hi > total {
-			hi = total
-		}
-		out = append(out, [2]int64{lo, hi})
-	}
-	return out
-}
-
-// ScanChunks splits the linear position range into contiguous chunks;
-// concatenated in order they reproduce Scan exactly. Only the columns
-// in attrs are materialized into vals (hole detection still consults
-// every column, like Scan).
-func (s *linearStore) ScanChunks(target int, attrs []int) []array.ChunkScan {
+// ScanChunks returns one scan per storage chunk, whatever the target:
+// zone maps describe storage chunks, so skipping and morsels work at
+// that grain. Concatenated in order the chunks reproduce Scan exactly.
+// Only the columns in attrs are materialized into vals (liveness still
+// consults every column, like Scan).
+func (s *linearStore) ScanChunks(_ int, attrs []int) []array.ChunkScan {
 	cols := array.AllAttrs(attrs, len(s.attrs))
-	ranges := chunkRanges(s.total, target)
-	out := make([]array.ChunkScan, len(ranges))
-	for ci, r := range ranges {
-		lo, hi := r[0], r[1]
+	out := make([]array.ChunkScan, len(s.chunks))
+	for ci := range s.chunks {
 		out[ci] = func(visit func(coords []int64, vals []value.Value) bool) {
-			coords := make([]int64, len(s.dims))
-			vals := make([]value.Value, len(cols))
-			for p := lo; p < hi; p++ {
-				if s.isHole(int(p)) {
-					continue
-				}
-				s.coordsOf(p, coords)
-				for vi, ai := range cols {
-					vals[vi] = s.cols[ai].get(int(p))
-				}
-				if !visit(coords, vals) {
-					return
-				}
-			}
+			s.scanChunk(ci, cols, make([]int64, len(s.dims)), make([]value.Value, len(cols)), visit)
 		}
 	}
 	return out
 }
 
-// ChunkStats returns zone maps index-aligned with ScanChunks(target, ·).
-func (s *linearStore) ChunkStats(target int) []array.ChunkStats {
-	return s.zm.get(target, func() []array.ChunkStats {
-		return computeZoneMaps(s, target, s.dims, s.attrs)
-	})
+// ChunkStats returns zone maps index-aligned with ScanChunks. Each
+// chunk's map is derived once and cached in the chunk, so clones share
+// the maps of the chunks they share and a write re-derives only the
+// chunk it touched.
+func (s *linearStore) ChunkStats(int) []array.ChunkStats {
+	if zm := s.allStats.Load(); zm != nil {
+		return *zm
+	}
+	out := make([]array.ChunkStats, len(s.chunks))
+	for ci, c := range s.chunks {
+		zs := c.zm.Load()
+		if zs == nil {
+			zs = c.derive(s.chunkLen(ci), s.grid(ci))
+			s.derived.Add(1)
+		}
+		out[ci] = *zs
+	}
+	s.allStats.Store(&out)
+	return out
+}
+
+// grid locates chunk ci's cells for zone-map derivation.
+func (s *linearStore) grid(ci int) cellGrid {
+	return cellGrid{first: int64(ci) * chunkCells, base: s.starts, step: s.steps, stride: s.strides, span: s.sizes}
 }
 
 func (s *linearStore) Bounds() (lo, hi []int64, ok bool) {
@@ -257,6 +293,8 @@ func (s *linearStore) Bounds() (lo, hi []int64, ok bool) {
 	return lo, hi, true
 }
 
+// Clone copies the table of chunk pointers only. Neither side owns a
+// chunk afterwards: the first write into a chunk copies that chunk.
 func (s *linearStore) Clone() array.Store {
 	out := &linearStore{
 		scheme:   s.scheme,
@@ -264,35 +302,33 @@ func (s *linearStore) Clone() array.Store {
 		attrs:    s.attrs,
 		sizes:    s.sizes,
 		strides:  s.strides,
+		starts:   s.starts,
+		steps:    s.steps,
 		total:    s.total,
+		chunks:   append([]*chunk(nil), s.chunks...),
 		liveCnt:  s.liveCnt,
 		rowMajor: s.rowMajor,
-		cols:     make([]*column, len(s.cols)),
 	}
-	for i, c := range s.cols {
-		out.cols[i] = c.clone()
-	}
+	out.allStats.Store(s.allStats.Load())
+	s.cow.retire()
+	out.cow.retire()
 	return out
 }
 
-// FloatColumn exposes the raw dense float column of attribute attr for
-// bulk kernels and black-box marshaling; ok is false when the
-// attribute is not Float-typed.
-func (s *linearStore) FloatColumn(attr int) (data []float64, valid []uint64, ok bool) {
-	c := s.cols[attr]
-	if c.typ != value.Float {
-		return nil, nil, false
-	}
-	return c.f, c.valid, true
-}
+// MeterCopies implements array.CopyMeter.
+func (s *linearStore) MeterCopies(add func(bytes int64)) { s.cow.sink = add }
 
-// IntColumn exposes the raw dense int column of attribute attr.
-func (s *linearStore) IntColumn(attr int) (data []int64, valid []uint64, ok bool) {
-	c := s.cols[attr]
-	if c.typ != value.Int && c.typ != value.Timestamp {
-		return nil, nil, false
+// FloatChunks hands the raw float column of attribute attr to visit
+// chunk by chunk, in position order, for bulk kernels and black-box
+// marshaling; it returns false when the attribute is not Float-typed.
+func (s *linearStore) FloatChunks(attr int, visit func(data []float64, valid []uint64)) bool {
+	if s.attrs[attr].Typ != value.Float {
+		return false
 	}
-	return c.i, c.valid, true
+	for _, c := range s.chunks {
+		visit(c.cols[attr].f, c.cols[attr].valid)
+	}
+	return true
 }
 
 // RowMajor reports the linearization order (true for Virtual, false
@@ -300,9 +336,9 @@ func (s *linearStore) IntColumn(attr int) (data []int64, valid []uint64, ok bool
 func (s *linearStore) RowMajor() bool { return s.rowMajor }
 
 // DenseFloats is implemented by dense stores that can expose an
-// attribute as a raw float column. The UDF marshaling layer (§6.2)
-// uses it to hand arrays to external library functions.
+// attribute as raw float chunks. The UDF marshaling layer (§6.2) uses
+// it to hand arrays to external library functions.
 type DenseFloats interface {
-	FloatColumn(attr int) (data []float64, valid []uint64, ok bool)
+	FloatChunks(attr int, visit func(data []float64, valid []uint64)) bool
 	RowMajor() bool
 }

@@ -8,12 +8,14 @@ import (
 	"repro/internal/value"
 )
 
-// zoneMaps maintains lazily-computed per-chunk zone maps for a store.
-// Every mutating operation bumps seq; ChunkStats recomputes when the
-// cached generation is stale, so readers always observe exact
-// statistics. The engine's MVCC layer clones stores before mutating
-// them (copy-on-write), and clones start with a fresh zoneMaps, so a
-// snapshot's stats can never describe cells it does not contain.
+// zoneMaps maintains lazily-computed per-chunk zone maps for the
+// tabular store (the dense stores cache a zone map in each storage
+// chunk instead, see chunk.go). Every mutating operation bumps seq;
+// ChunkStats recomputes when the cached generation is stale, so readers
+// always observe exact statistics. The engine's MVCC layer clones
+// stores before mutating them (copy-on-write), and clones start with a
+// fresh zoneMaps, so a snapshot's stats can never describe cells it
+// does not contain.
 //
 // mu guards the lazy build the same way tabularStore.dimMu guards the
 // dim-values cache: concurrent read-only queries (the morsel-driven

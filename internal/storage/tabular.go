@@ -224,6 +224,29 @@ func (s *tabularStore) Scan(visit func(coords []int64, vals []value.Value) bool)
 	}
 }
 
+// chunkRanges splits [0, total) into roughly target contiguous ranges.
+func chunkRanges(total int64, target int) [][2]int64 {
+	if total <= 0 {
+		return nil
+	}
+	if target < 1 {
+		target = 1
+	}
+	size := (total + int64(target) - 1) / int64(target)
+	if size < 1 {
+		size = 1
+	}
+	out := make([][2]int64, 0, target)
+	for lo := int64(0); lo < total; lo += size {
+		hi := lo + size
+		if hi > total {
+			hi = total
+		}
+		out = append(out, [2]int64{lo, hi})
+	}
+	return out
+}
+
 // ScanChunks splits the row range into contiguous chunks; concatenated
 // in order they reproduce Scan exactly. Only the attribute columns in
 // attrs are materialized into vals.

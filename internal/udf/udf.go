@@ -73,15 +73,24 @@ func Marshal2D(a *array.Array, attr int, layout Layout) (*Dense2D, error) {
 		out.Data[i] = math.NaN()
 	}
 	// Fast path: a dense row-major store marshaled to row-major order
-	// copies the tail directly.
+	// copies the tail directly, chunk by chunk.
 	if df, ok := a.Store.(storage.DenseFloats); ok && layout == RowMajor && df.RowMajor() {
-		if data, valid, ok2 := df.FloatColumn(attr); ok2 && len(data) == rows*cols {
-			for i, f := range data {
-				if valid[i>>6]&(1<<(uint(i)&63)) != 0 {
-					out.Data[i] = f
+		n := 0
+		isFloat := df.FloatChunks(attr, func(data []float64, valid []uint64) {
+			if n+len(data) <= len(out.Data) {
+				for i, f := range data {
+					if valid[i>>6]&(1<<(uint(i)&63)) != 0 {
+						out.Data[n+i] = f
+					}
 				}
 			}
+			n += len(data)
+		})
+		if isFloat && n == len(out.Data) {
 			return out, nil
+		}
+		for i := range out.Data {
+			out.Data[i] = math.NaN()
 		}
 	}
 	coords := make([]int64, 2)

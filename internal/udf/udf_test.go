@@ -82,6 +82,32 @@ func TestMarshalAgreesAcrossSchemes(t *testing.T) {
 	}
 }
 
+// TestMarshalMultiChunk marshals a 100×100 array, which spans three
+// storage chunks, through the chunk-walking fast path (Virtual) and
+// the per-cell path (Tabular), with holes in two chunks.
+func TestMarshalMultiChunk(t *testing.T) {
+	var out [2]*Dense2D
+	for i, scheme := range []string{storage.SchemeVirtual, storage.SchemeTabular} {
+		a := denseArray(t, scheme, 100)
+		for _, c := range [][]int64{{0, 3}, {70, 70}} {
+			_ = a.Store.Set(c, 0, value.NewNull(value.Float))
+		}
+		d, err := Marshal2D(a, 0, RowMajor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = d
+	}
+	for i, f := range out[1].Data {
+		if g := out[0].Data[i]; g != f && !(math.IsNaN(g) && math.IsNaN(f)) {
+			t.Fatalf("cell %d: virtual %v, tabular %v", i, g, f)
+		}
+	}
+	if !math.IsNaN(out[0].At(70, 70)) || out[0].At(99, 99) != 9999 {
+		t.Errorf("At(70,70) = %v, At(99,99) = %v; want NaN and 9999", out[0].At(70, 70), out[0].At(99, 99))
+	}
+}
+
 func TestMarshalHolesAreNaN(t *testing.T) {
 	a := denseArray(t, storage.SchemeVirtual, 3)
 	_ = a.Store.Set([]int64{1, 1}, 0, value.NewNull(value.Float))

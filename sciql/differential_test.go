@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/value"
 )
 
 // diffSchemes is the full storage matrix the differential oracle runs
@@ -277,5 +279,180 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					scheme, base, q, got, want)
 			}
 		}
+	}
+}
+
+// gridCell is one cell of the diffDB grid in the Go-side model: a, b
+// and c, each nil when NULL.
+type gridCell struct {
+	a, b *float64
+	c    *int64
+}
+
+// gridModel is diffDB's grid computed in Go, independent of the engine.
+func gridModel() [][]gridCell {
+	m := make([][]gridCell, 96)
+	for x := range m {
+		m[x] = make([]gridCell, 96)
+		for y := range m[x] {
+			a, b := float64(x*96+y), float64(x-y)
+			m[x][y] = gridCell{a: &a, b: &b}
+			if (x+y)%4 == 0 {
+				c := int64((x*7 + y*3) % 13)
+				m[x][y].c = &c
+			}
+		}
+	}
+	return m
+}
+
+// writeHistory draws n one-cell UPDATEs over the whole grid and applies
+// each to the model. Values include NULLs (so cells turn into holes and
+// back) and extremes (so chunk minima and maxima move).
+func writeHistory(m [][]gridCell, n int) []string {
+	r := rand.New(rand.NewSource(0x415))
+	out := make([]string, 0, n)
+	for range n {
+		x, y := r.Intn(96), r.Intn(96)
+		cell := &m[x][y]
+		f := float64(r.Intn(4000)-2000) / 4
+		if r.Intn(8) == 0 {
+			f *= 1e4
+		}
+		attr, lit := "", fmt.Sprint(f)
+		switch r.Intn(3) {
+		case 0:
+			attr, cell.a = "a", &f
+		case 1:
+			attr, cell.b = "b", &f
+		default:
+			i := int64(r.Intn(40) - 20)
+			attr, cell.c, lit = "c", &i, fmt.Sprint(i)
+		}
+		if r.Intn(5) == 0 {
+			lit = "NULL"
+			switch attr {
+			case "a":
+				cell.a = nil
+			case "b":
+				cell.b = nil
+			default:
+				cell.c = nil
+			}
+		}
+		out = append(out, fmt.Sprintf("UPDATE grid SET %s = %s WHERE x = %d AND y = %d", attr, lit, x, y))
+	}
+	return out
+}
+
+// loadGrid creates the grid in a fresh database and sets every cell
+// from the model through the array API: no statement, snapshot or
+// clone is involved, so no chunk is ever shared.
+func loadGrid(t *testing.T, scheme string, m [][]gridCell) *DB {
+	t.Helper()
+	db := Open()
+	if scheme != "" {
+		db.SetStorageHint("grid", scheme, 16)
+	}
+	db.MustExec(`CREATE ARRAY grid (x INTEGER DIMENSION[96], y INTEGER DIMENSION[96],
+		a FLOAT DEFAULT 0.0, b FLOAT DEFAULT 1.0, c INTEGER)`)
+	a, ok := db.LookupArray("grid")
+	if !ok {
+		t.Fatal("grid missing after CREATE")
+	}
+	for x := range m {
+		for y, cell := range m[x] {
+			coords := []int64{int64(x), int64(y)}
+			vals := []value.Value{value.NewNull(value.Float), value.NewNull(value.Float), value.NewNull(value.Int)}
+			if cell.a != nil {
+				vals[0] = value.NewFloat(*cell.a)
+			}
+			if cell.b != nil {
+				vals[1] = value.NewFloat(*cell.b)
+			}
+			if cell.c != nil {
+				vals[2] = value.NewInt(*cell.c)
+			}
+			for ai, v := range vals {
+				if err := a.Set(coords, ai, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return db
+}
+
+// zoneQueries are selective against the grid's initial zone maps:
+// before any write, every chunk can be skipped for each of them. The
+// write history puts matching cells into many chunks, so a stale zone
+// map drops rows.
+var zoneQueries = []string{
+	`SELECT x, y, a FROM grid WHERE a < 0`,
+	`SELECT x, y, a FROM grid WHERE a BETWEEN -100 AND 100`,
+	`SELECT x, y, b FROM grid WHERE b > 95`,
+	`SELECT x, y, c FROM grid WHERE c > 12`,
+	`SELECT x, y FROM grid WHERE a IS NULL`,
+	`SELECT MOD(x, 4) AS k0, COUNT(*), MIN(b) FROM grid WHERE b < -95 GROUP BY MOD(x, 4) ORDER BY k0`,
+}
+
+// TestDifferentialWriteHistory adds write history to the oracle: the
+// same final grid is reached by one-cell UPDATEs, each committing a
+// snapshot that shares chunks with the one before, and by a fresh load
+// computed in Go. Reads run between the writes, so zone maps are
+// cached on shared chunks and must be re-derived for the written ones.
+// Every generated query, plus the zone-map-selective ones, must render
+// byte-identically on the two databases across skip × vectorized ×
+// parallelism, in every scheme.
+func TestDifferentialWriteHistory(t *testing.T) {
+	queries := append(diffQueries(), zoneQueries...)
+	model := gridModel()
+	history := writeHistory(model, 160)
+	for _, scheme := range diffSchemes {
+		name := scheme
+		if name == "" {
+			name = "adaptive"
+		}
+		t.Run(name, func(t *testing.T) {
+			hist := diffDB(t, scheme)
+			hist.ChunkSkip(true)
+			hist.Parallelism(4)
+			for i, u := range history {
+				hist.MustExec(u)
+				if i%5 == 0 {
+					if _, err := hist.Query(zoneQueries[i/5%len(zoneQueries)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fresh := loadGrid(t, scheme, model)
+			for _, q := range queries {
+				fresh.ChunkSkip(false)
+				fresh.Vectorize(false)
+				fresh.Parallelism(1)
+				ref, err := fresh.Query(q)
+				if err != nil {
+					t.Fatalf("fresh %s: %v", q, err)
+				}
+				want := ref.String()
+				for _, skip := range []bool{false, true} {
+					for _, vec := range []bool{false, true} {
+						for _, par := range []int{1, 4} {
+							hist.ChunkSkip(skip)
+							hist.Vectorize(vec)
+							hist.Parallelism(par)
+							got, err := hist.Query(q)
+							if err != nil {
+								t.Fatalf("skip=%v vec=%v par=%d %s: %v", skip, vec, par, q, err)
+							}
+							if got.String() != want {
+								t.Errorf("skip=%v vec=%v par=%d: written history differs from fresh load for %s:\ngot:\n%s\nwant:\n%s",
+									skip, vec, par, q, got.String(), want)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
