@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,16 +31,9 @@ import (
 )
 
 var (
-	quick  = flag.Bool("quick", false, "use smaller sizes")
-	only   = flag.String("only", "", "run only experiments whose id has this prefix")
-	par    = flag.Int("par", 4, "worker count for the parallel-execution experiments (P1, P3)")
-	p3out  = flag.String("p3out", "", "write the P3 measurements as JSON to this file")
-	p4out  = flag.String("p4out", "", "write the P4 measurements as JSON to this file")
-	p5out  = flag.String("p5out", "", "write the P5 measurements as JSON to this file")
-	p6out  = flag.String("p6out", "", "write the P6 measurements as JSON to this file")
-	p8out  = flag.String("p8out", "", "write the P8 measurements as JSON to this file")
-	p9out  = flag.String("p9out", "", "write the P9 measurements as JSON to this file")
-	p10out = flag.String("p10out", "", "write the P10 measurements as JSON to this file")
+	quick = flag.Bool("quick", false, "use smaller sizes")
+	only  = flag.String("only", "", "run only experiments whose id has this prefix")
+	par   = flag.Int("par", 4, "worker count for the parallel-execution experiments (P1, P3)")
 )
 
 func main() {
@@ -79,6 +71,12 @@ func timeIt(fn func() error) (time.Duration, error) {
 	err := fn()
 	return time.Since(t0), err
 }
+
+// ms renders a duration in milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// ratio is the speedup of b over a (a's time divided by b's).
+func ratio(a, b time.Duration) float64 { return float64(a.Nanoseconds()) / float64(b.Nanoseconds()) }
 
 func fail(id string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
@@ -532,29 +530,11 @@ func runP2() {
 		float64(dCold.Nanoseconds())/float64(dPrep.Nanoseconds()))
 }
 
-// p3Result is the recorded shape of the P3 experiment: the chunked
-// parallel scan and runtime projection pruning. -p3out writes the
-// latest run (truncating); committing BENCH_P3.json per change keeps
-// the perf trajectory in git history.
-type p3Result struct {
-	Experiment         string  `json:"experiment"`
-	Cells              int64   `json:"cells"`
-	Workers            int     `json:"workers"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	SerialMs           float64 `json:"serial_scan_ms"`
-	ParallelMs         float64 `json:"parallel_scan_ms"`
-	ScanSpeedup        float64 `json:"scan_speedup"`
-	FullProjectionMs   float64 `json:"full_projection_ms"`
-	PrunedProjectionMs float64 `json:"pruned_projection_ms"`
-	PruneSpeedup       float64 `json:"prune_speedup"`
-	Rows               int     `json:"result_rows"`
-}
-
 // runP3 measures the chunked parallel array scan: a filter-heavy query
 // over a >=1M-cell array, serial vs chunk-parallel (the scan itself is
 // the morsel domain; filter+projection run per chunk inside it), and a
 // full- vs pruned-projection scan (unreferenced attribute columns are
-// never materialized). Results optionally land in -p3out as JSON.
+// never materialized).
 func runP3() {
 	if !want("P3") {
 		return
@@ -609,53 +589,12 @@ func runP3() {
 	if err != nil {
 		fail("P3", err)
 	}
-	res := p3Result{
-		Experiment:         "P3",
-		Cells:              n * n,
-		Workers:            workers,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		SerialMs:           float64(dS.Microseconds()) / 1000,
-		ParallelMs:         float64(dP.Microseconds()) / 1000,
-		ScanSpeedup:        float64(dS.Nanoseconds()) / float64(dP.Nanoseconds()),
-		FullProjectionMs:   float64(dFull.Microseconds()) / 1000,
-		PrunedProjectionMs: float64(dPruned.Microseconds()) / 1000,
-		PruneSpeedup:       float64(dFull.Nanoseconds()) / float64(dPruned.Nanoseconds()),
-		Rows:               serialRows,
-	}
-	fmt.Printf("serial scan (1 worker):      %8.1f ms  (%d rows)\n", res.SerialMs, serialRows)
-	fmt.Printf("chunked scan (%d workers):   %8.1f ms\n", workers, res.ParallelMs)
-	fmt.Printf("scan speedup: %.2fx (scaling requires >= %d cores)\n", res.ScanSpeedup, workers)
-	fmt.Printf("full projection (5 cols):    %8.1f ms\n", res.FullProjectionMs)
-	fmt.Printf("pruned projection (3 cols):  %8.1f ms\n", res.PrunedProjectionMs)
-	fmt.Printf("pruning speedup: %.2fx (unused attribute columns never materialize)\n\n", res.PruneSpeedup)
-	if *p3out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P3", err)
-		}
-		if err := os.WriteFile(*p3out, append(buf, '\n'), 0o644); err != nil {
-			fail("P3", err)
-		}
-		fmt.Printf("(P3 measurements written to %s)\n\n", *p3out)
-	}
-}
-
-// p4Result is the recorded shape of the P4 experiment: vectorized
-// (bulk-kernel) execution vs the tree-walking interpreter on the P3
-// workload shape. -p4out writes the latest run (truncating);
-// committing BENCH_P4.json per change keeps the perf trajectory in
-// git history.
-type p4Result struct {
-	Experiment         string  `json:"experiment"`
-	Cells              int64   `json:"cells"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	InterpretedMs      float64 `json:"interpreted_scan_ms"`
-	VectorizedMs       float64 `json:"vectorized_scan_ms"`
-	Speedup            float64 `json:"vectorization_speedup"`
-	FullProjectionMs   float64 `json:"vectorized_full_projection_ms"`
-	PrunedProjectionMs float64 `json:"vectorized_pruned_projection_ms"`
-	PruneSpeedup       float64 `json:"prune_speedup"`
-	Rows               int     `json:"result_rows"`
+	fmt.Printf("serial scan (1 worker):      %8.1f ms  (%d rows)\n", ms(dS), serialRows)
+	fmt.Printf("chunked scan (%d workers):   %8.1f ms\n", workers, ms(dP))
+	fmt.Printf("scan speedup: %.2fx (scaling requires >= %d cores)\n", ratio(dS, dP), workers)
+	fmt.Printf("full projection (5 cols):    %8.1f ms\n", ms(dFull))
+	fmt.Printf("pruned projection (3 cols):  %8.1f ms\n", ms(dPruned))
+	fmt.Printf("pruning speedup: %.2fx (unused attribute columns never materialize)\n\n", ratio(dFull, dPruned))
 }
 
 // runP4 measures vectorized execution: the P3 filter-heavy 1M-cell
@@ -714,52 +653,12 @@ func runP4() {
 	if err != nil {
 		fail("P4", err)
 	}
-	res := p4Result{
-		Experiment:         "P4",
-		Cells:              n * n,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		InterpretedMs:      float64(dI.Microseconds()) / 1000,
-		VectorizedMs:       float64(dV.Microseconds()) / 1000,
-		Speedup:            float64(dI.Nanoseconds()) / float64(dV.Nanoseconds()),
-		FullProjectionMs:   float64(dFull.Microseconds()) / 1000,
-		PrunedProjectionMs: float64(dPruned.Microseconds()) / 1000,
-		PruneSpeedup:       float64(dFull.Nanoseconds()) / float64(dPruned.Nanoseconds()),
-		Rows:               interpRows,
-	}
-	fmt.Printf("interpreted scan (row-at-a-time):  %8.1f ms  (%d rows)\n", res.InterpretedMs, interpRows)
-	fmt.Printf("vectorized scan (BAT kernels):     %8.1f ms\n", res.VectorizedMs)
-	fmt.Printf("vectorization speedup: %.2fx single-core (the paper's column-at-a-time argument)\n", res.Speedup)
-	fmt.Printf("vectorized full projection (5 cols):   %8.1f ms\n", res.FullProjectionMs)
-	fmt.Printf("vectorized pruned projection (3 cols): %8.1f ms\n", res.PrunedProjectionMs)
-	fmt.Printf("pruning speedup under vectorization: %.2fx\n\n", res.PruneSpeedup)
-	if *p4out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P4", err)
-		}
-		if err := os.WriteFile(*p4out, append(buf, '\n'), 0o644); err != nil {
-			fail("P4", err)
-		}
-		fmt.Printf("(P4 measurements written to %s)\n\n", *p4out)
-	}
-}
-
-// p5Result is the recorded shape of the P5 experiment: concurrent
-// connection scaling on the 1M-cell filter scan — the same total work
-// (4 scans) done by one connection sequentially vs 4 connections
-// concurrently over the shared, versioned catalog. -p5out writes the
-// latest run (truncating); committing BENCH_P5.json per change keeps
-// the trajectory in git history.
-type p5Result struct {
-	Experiment      string  `json:"experiment"`
-	Cells           int64   `json:"cells"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Scans           int     `json:"scans"`
-	SequentialMs    float64 `json:"one_conn_sequential_ms"`
-	ConcurrentMs    float64 `json:"four_conns_concurrent_ms"`
-	ConnScaling     float64 `json:"conn_scaling"`
-	RowsPerScan     int     `json:"rows_per_scan"`
-	SnapshotsStable bool    `json:"snapshots_stable_under_writer"`
+	fmt.Printf("interpreted scan (row-at-a-time):  %8.1f ms  (%d rows)\n", ms(dI), interpRows)
+	fmt.Printf("vectorized scan (BAT kernels):     %8.1f ms\n", ms(dV))
+	fmt.Printf("vectorization speedup: %.2fx single-core (the paper's column-at-a-time argument)\n", ratio(dI, dV))
+	fmt.Printf("vectorized full projection (5 cols):   %8.1f ms\n", ms(dFull))
+	fmt.Printf("vectorized pruned projection (3 cols): %8.1f ms\n", ms(dPruned))
+	fmt.Printf("pruning speedup under vectorization: %.2fx\n\n", ratio(dFull, dPruned))
 }
 
 // runP5 measures concurrent connections: 4 full filter scans executed
@@ -888,58 +787,10 @@ func runP5() {
 		fail("P5", fmt.Errorf("open cursor observed a mix of versions (snapshot tear)"))
 	}
 
-	res := p5Result{
-		Experiment:      "P5",
-		Cells:           n * n,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Scans:           scans,
-		SequentialMs:    float64(dSeq.Microseconds()) / 1000,
-		ConcurrentMs:    float64(dConc.Microseconds()) / 1000,
-		ConnScaling:     float64(dSeq.Nanoseconds()) / float64(dConc.Nanoseconds()),
-		RowsPerScan:     rowsPerScan,
-		SnapshotsStable: stable,
-	}
-	fmt.Printf("%d scans, 1 conn sequential:   %8.1f ms  (%d rows/scan)\n", scans, res.SequentialMs, rowsPerScan)
-	fmt.Printf("%d scans, %d conns concurrent: %8.1f ms\n", scans, scans, res.ConcurrentMs)
-	fmt.Printf("connection scaling: %.2fx (needs >= %d cores to show; snapshot reads never block on the writer)\n", res.ConnScaling, scans)
-	fmt.Printf("snapshot stability under a committing writer: %v\n\n", res.SnapshotsStable)
-	if *p5out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P5", err)
-		}
-		if err := os.WriteFile(*p5out, append(buf, '\n'), 0o644); err != nil {
-			fail("P5", err)
-		}
-		fmt.Printf("(P5 measurements written to %s)\n\n", *p5out)
-	}
-}
-
-// p6Result is the recorded shape of the P6 experiment: the cost of
-// observability. The same 1M-cell vectorized filter scan runs with
-// telemetry unarmed (counters only), with the trace/slow-query path
-// armed, and under EXPLAIN ANALYZE (full per-operator profiling), plus
-// the plan-cache hit rate a prepared workload achieves. -p6out writes
-// the latest run (truncating); committing BENCH_P6.json per change
-// keeps the overhead trajectory in git history.
-type p6Result struct {
-	Experiment         string  `json:"experiment"`
-	Cells              int64   `json:"cells"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	Iterations         int     `json:"iterations_per_mode"`
-	UnarmedMs          float64 `json:"unarmed_scan_ms"`
-	ArmedMs            float64 `json:"slow_log_armed_scan_ms"`
-	ArmedOverheadPct   float64 `json:"slow_log_overhead_pct"`
-	AnalyzeMs          float64 `json:"explain_analyze_ms"`
-	AnalyzeOverheadPct float64 `json:"explain_analyze_overhead_pct"`
-	Rows               int     `json:"result_rows"`
-	ScanCellsPerQuery  int64   `json:"scan_cells_per_query"`
-	ScanRowsPerQuery   int64   `json:"scan_rows_per_query"`
-	SlowQueriesLogged  int64   `json:"slow_queries_logged"`
-	PreparedExecs      int     `json:"prepared_execs"`
-	PlanCacheHits      int64   `json:"plan_cache_hits"`
-	PlanCacheMisses    int64   `json:"plan_cache_misses"`
-	PlanCacheHitRate   float64 `json:"plan_cache_hit_rate"`
+	fmt.Printf("%d scans, 1 conn sequential:   %8.1f ms  (%d rows/scan)\n", scans, ms(dSeq), rowsPerScan)
+	fmt.Printf("%d scans, %d conns concurrent: %8.1f ms\n", scans, scans, ms(dConc))
+	fmt.Printf("connection scaling: %.2fx (needs >= %d cores to show; snapshot reads never block on the writer)\n", ratio(dSeq, dConc), scans)
+	fmt.Printf("snapshot stability under a committing writer: %v\n\n", stable)
 }
 
 // runP6 measures what telemetry costs: the P4 vectorized filter scan
@@ -1003,7 +854,6 @@ func runP6() {
 	dUnarmed := measure(filterQ)
 	after := db.Metrics()
 	cellsPerQ := (after["scan_cells_total"] - before["scan_cells_total"]) / int64(iters)
-	rowsPerQ := (after["scan_rows_total"] - before["scan_rows_total"]) / int64(iters)
 
 	// Arm the slow-query log so every statement crosses the threshold:
 	// the armed path pays trace events, row accounting, and a log line.
@@ -1038,69 +888,13 @@ func runP6() {
 	pct := func(d time.Duration) float64 {
 		return (float64(d.Nanoseconds())/float64(dUnarmed.Nanoseconds()) - 1) * 100
 	}
-	res := p6Result{
-		Experiment:         "P6",
-		Cells:              n * n,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Iterations:         iters,
-		UnarmedMs:          float64(dUnarmed.Microseconds()) / 1000,
-		ArmedMs:            float64(dArmed.Microseconds()) / 1000,
-		ArmedOverheadPct:   pct(dArmed),
-		AnalyzeMs:          float64(dAnalyze.Microseconds()) / 1000,
-		AnalyzeOverheadPct: pct(dAnalyze),
-		Rows:               rowsSeen,
-		ScanCellsPerQuery:  cellsPerQ,
-		ScanRowsPerQuery:   rowsPerQ,
-		SlowQueriesLogged:  slowLogged,
-		PreparedExecs:      preparedExecs,
-		PlanCacheHits:      hits,
-		PlanCacheMisses:    misses,
-		PlanCacheHitRate:   hitRate,
-	}
 	fmt.Printf("unarmed (counters only):       %8.1f ms  (%d rows; %d cells scanned/query)\n",
-		res.UnarmedMs, rowsSeen, cellsPerQ)
+		ms(dUnarmed), rowsSeen, cellsPerQ)
 	fmt.Printf("slow-log armed (every query):  %8.1f ms  (%+.1f%%; %d slow queries logged)\n",
-		res.ArmedMs, res.ArmedOverheadPct, slowLogged)
-	fmt.Printf("EXPLAIN ANALYZE (profiled):    %8.1f ms  (%+.1f%%)\n", res.AnalyzeMs, res.AnalyzeOverheadPct)
+		ms(dArmed), pct(dArmed), slowLogged)
+	fmt.Printf("EXPLAIN ANALYZE (profiled):    %8.1f ms  (%+.1f%%)\n", ms(dAnalyze), pct(dAnalyze))
 	fmt.Printf("plan-cache hit rate, %d prepared execs: %.1f%% (%d hits / %d misses)\n\n",
 		preparedExecs, hitRate*100, hits, misses)
-	if *p6out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P6", err)
-		}
-		if err := os.WriteFile(*p6out, append(buf, '\n'), 0o644); err != nil {
-			fail("P6", err)
-		}
-		fmt.Printf("(P6 measurements written to %s)\n\n", *p6out)
-	}
-}
-
-// p8SkipPoint is one selectivity point of the P8 chunk-skip sweep.
-type p8SkipPoint struct {
-	SelectivityPct int     `json:"selectivity_pct"`
-	Rows           int     `json:"rows"`
-	SkipOffMs      float64 `json:"skip_off_ms"`
-	SkipOnMs       float64 `json:"skip_on_ms"`
-	Speedup        float64 `json:"skip_speedup"`
-	ChunksSkipped  int64   `json:"chunks_skipped"`
-}
-
-// p8Result is the recorded shape of the P8 experiment: zone-map chunk
-// skipping on the vectorized 1M-cell filter scan at three
-// selectivities, and the partitioned hash join at 1 vs 4 workers.
-// -p8out writes the latest run (truncating); committing BENCH_P8.json
-// per change keeps the trajectory in git history.
-type p8Result struct {
-	Experiment     string        `json:"experiment"`
-	Cells          int64         `json:"cells"`
-	GOMAXPROCS     int           `json:"gomaxprocs"`
-	SkipScan       []p8SkipPoint `json:"skip_scan"`
-	JoinRows       int           `json:"join_rows"`
-	JoinSerialMs   float64       `json:"join_serial_ms"`
-	JoinParallelMs float64       `json:"join_parallel_ms"`
-	JoinWorkers    int           `json:"join_workers"`
-	JoinSpeedup    float64       `json:"join_speedup"`
 }
 
 // runP8 measures statistics-driven execution. Part one: the P4
@@ -1155,7 +949,6 @@ func runP8() {
 		return bd, rows
 	}
 
-	res := p8Result{Experiment: "P8", Cells: cells, GOMAXPROCS: runtime.GOMAXPROCS(0), JoinWorkers: workers}
 	fmt.Printf("%-6s %12s %12s %9s %15s %10s\n", "sel", "skip off ms", "skip on ms", "speedup", "chunks skipped", "rows")
 	for _, pctSel := range []int{1, 34, 100} {
 		threshold := cells * int64(pctSel) / 100
@@ -1169,17 +962,8 @@ func runP8() {
 		if rowsOn != rowsOff {
 			fail("P8", fmt.Errorf("skip on returned %d rows, off %d", rowsOn, rowsOff))
 		}
-		pt := p8SkipPoint{
-			SelectivityPct: pctSel,
-			Rows:           rowsOn,
-			SkipOffMs:      float64(dOff.Microseconds()) / 1000,
-			SkipOnMs:       float64(dOn.Microseconds()) / 1000,
-			Speedup:        float64(dOff.Nanoseconds()) / float64(dOn.Nanoseconds()),
-			ChunksSkipped:  skipped,
-		}
-		res.SkipScan = append(res.SkipScan, pt)
 		fmt.Printf("%-6s %12.1f %12.1f %8.2fx %15d %10d\n",
-			fmt.Sprintf("%d%%", pctSel), pt.SkipOffMs, pt.SkipOnMs, pt.Speedup, pt.ChunksSkipped, pt.Rows)
+			fmt.Sprintf("%d%%", pctSel), ms(dOff), ms(dOn), ratio(dOff, dOn), skipped, rowsOn)
 	}
 
 	// Partitioned hash join: the 1M-cell array probes against a small
@@ -1188,12 +972,13 @@ func runP8() {
 	db.MustExec(`CREATE ARRAY zdim (x INTEGER DIMENSION[64], y INTEGER DIMENSION[64], s FLOAT DEFAULT 3.0)`)
 	joinQ := `SELECT l.x, l.y, (l.v + r.s) AS e FROM zscan AS l JOIN zdim AS r ON l.x = r.x AND l.y = r.y`
 	var serialOut, parOut string
+	var joinRows int
 	db.Parallelism(1)
 	dJS, err := timeIt(func() error {
 		rs, e := db.Query(joinQ)
 		if e == nil {
 			serialOut = rs.String()
-			res.JoinRows = rs.NumRows()
+			joinRows = rs.NumRows()
 		}
 		return e
 	})
@@ -1214,50 +999,9 @@ func runP8() {
 	if serialOut != parOut {
 		fail("P8", fmt.Errorf("parallel join result differs from serial"))
 	}
-	res.JoinSerialMs = float64(dJS.Microseconds()) / 1000
-	res.JoinParallelMs = float64(dJP.Microseconds()) / 1000
-	res.JoinSpeedup = float64(dJS.Nanoseconds()) / float64(dJP.Nanoseconds())
-	fmt.Printf("hash join, serial:      %8.1f ms  (%d rows, byte-identical)\n", res.JoinSerialMs, res.JoinRows)
-	fmt.Printf("hash join, %d workers:  %8.1f ms\n", workers, res.JoinParallelMs)
-	fmt.Printf("join speedup: %.2fx (scaling requires >= %d cores)\n\n", res.JoinSpeedup, workers)
-	if *p8out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P8", err)
-		}
-		if err := os.WriteFile(*p8out, append(buf, '\n'), 0o644); err != nil {
-			fail("P8", err)
-		}
-		fmt.Printf("(P8 measurements written to %s)\n\n", *p8out)
-	}
-}
-
-// p9AdmissionPoint is one admission-control throughput measurement:
-// a fixed client fleet against 4 execution slots and one queue depth.
-type p9AdmissionPoint struct {
-	QueueDepth int     `json:"queue_depth"`
-	Clients    int     `json:"clients"`
-	Completed  int64   `json:"completed"`
-	Rejected   int64   `json:"rejected"`
-	WallMs     float64 `json:"wall_ms"`
-	Qps        float64 `json:"qps"`
-}
-
-// p9Result is the recorded shape of the P9 experiment: resource-
-// governor overhead on the 1M-cell filter scan (armed vs unarmed,
-// byte-identical results enforced) and admission-control throughput at
-// three queue depths. -p9out writes the latest run (truncating);
-// committing BENCH_P9.json per change keeps the trajectory in git
-// history.
-type p9Result struct {
-	Experiment  string             `json:"experiment"`
-	Cells       int64              `json:"cells"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Rows        int                `json:"rows"`
-	UnarmedMs   float64            `json:"unarmed_ms"`
-	ArmedMs     float64            `json:"armed_ms"`
-	OverheadPct float64            `json:"overhead_pct"`
-	Admission   []p9AdmissionPoint `json:"admission"`
+	fmt.Printf("hash join, serial:      %8.1f ms  (%d rows, byte-identical)\n", ms(dJS), joinRows)
+	fmt.Printf("hash join, %d workers:  %8.1f ms\n", workers, ms(dJP))
+	fmt.Printf("join speedup: %.2fx (scaling requires >= %d cores)\n\n", ratio(dJS, dJP), workers)
 }
 
 // runP9 measures the resource governor. Part one: the vectorized
@@ -1313,7 +1057,6 @@ func runP9() {
 		return bd, out
 	}
 
-	res := p9Result{Experiment: "P9", Cells: cells, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	dOff, outOff := best()
 	// Armed: generous limits nothing trips, so the measurement isolates
 	// the accounting cost — admission slot, statement timer, and the
@@ -1328,13 +1071,9 @@ func runP9() {
 	if outOn != outOff {
 		fail("P9", fmt.Errorf("governed scan result differs from ungoverned"))
 	}
-	res.Rows = strings.Count(outOff, "\n")
-	res.UnarmedMs = float64(dOff.Microseconds()) / 1000
-	res.ArmedMs = float64(dOn.Microseconds()) / 1000
-	res.OverheadPct = (float64(dOn.Nanoseconds())/float64(dOff.Nanoseconds()) - 1) * 100
-	fmt.Printf("filter scan, governor unarmed: %8.1f ms\n", res.UnarmedMs)
-	fmt.Printf("filter scan, governor armed:   %8.1f ms  (byte-identical)\n", res.ArmedMs)
-	fmt.Printf("governor overhead: %+.1f%% (target <= 5%%)\n", res.OverheadPct)
+	fmt.Printf("filter scan, governor unarmed: %8.1f ms\n", ms(dOff))
+	fmt.Printf("filter scan, governor armed:   %8.1f ms  (byte-identical)\n", ms(dOn))
+	fmt.Printf("governor overhead: %+.1f%% (target <= 5%%)\n", (ratio(dOn, dOff)-1)*100)
 
 	// Admission throughput: a cheap per-query workload so the queue —
 	// not the scan — is the contended resource.
@@ -1368,26 +1107,7 @@ func runP9() {
 		}
 		wg.Wait()
 		wall := time.Since(t0)
-		pt := p9AdmissionPoint{
-			QueueDepth: depth,
-			Clients:    clients,
-			Completed:  completed,
-			Rejected:   rejected,
-			WallMs:     float64(wall.Microseconds()) / 1000,
-			Qps:        float64(completed) / wall.Seconds(),
-		}
-		res.Admission = append(res.Admission, pt)
-		fmt.Printf("%-12d %10d %10d %10.1f %10.0f\n", depth, pt.Completed, pt.Rejected, pt.WallMs, pt.Qps)
+		fmt.Printf("%-12d %10d %10d %10.1f %10.0f\n", depth, completed, rejected, ms(wall), float64(completed)/wall.Seconds())
 	}
 	fmt.Println()
-	if *p9out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P9", err)
-		}
-		if err := os.WriteFile(*p9out, append(buf, '\n'), 0o644); err != nil {
-			fail("P9", err)
-		}
-		fmt.Printf("(P9 measurements written to %s)\n\n", *p9out)
-	}
 }

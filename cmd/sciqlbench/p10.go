@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,26 +11,6 @@ import (
 	"repro/internal/server/pgwire"
 	"repro/sciql"
 )
-
-// p10Point is one fleet size of the network-throughput experiment.
-type p10Point struct {
-	Clients   int     `json:"clients"`
-	Queries   int64   `json:"queries"`
-	ConnectMs float64 `json:"connect_ms"`
-	WallMs    float64 `json:"wall_ms"`
-	Qps       float64 `json:"qps"`
-}
-
-// p10Result is the recorded shape of the P10 experiment: sciqld wire
-// throughput over loopback TCP at three fleet sizes. -p10out writes
-// the latest run (truncating); committing BENCH_P10.json per change
-// keeps the trajectory in git history.
-type p10Result struct {
-	Experiment string     `json:"experiment"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Query      string     `json:"query"`
-	Points     []p10Point `json:"points"`
-}
 
 // runP10 measures the sciqld network stack end to end: an in-process
 // server on a loopback listener, fleets of 1, 64 and 1024 persistent
@@ -65,7 +43,6 @@ func runP10() {
 	addr := srv.PgAddr()
 
 	const q = `SELECT v FROM npoint WHERE x = 7 AND y = 9`
-	res := p10Result{Experiment: "P10", GOMAXPROCS: runtime.GOMAXPROCS(0), Query: q}
 	fmt.Printf("%-10s %10s %12s %10s %10s\n", "clients", "queries", "connect ms", "wall ms", "qps")
 	for _, fleet := range fleets {
 		perClient := total / int64(fleet)
@@ -115,25 +92,7 @@ func runP10() {
 			c.Close()
 		}
 
-		pt := p10Point{
-			Clients:   fleet,
-			Queries:   done,
-			ConnectMs: connectMs,
-			WallMs:    float64(wall.Microseconds()) / 1000,
-			Qps:       float64(done) / wall.Seconds(),
-		}
-		res.Points = append(res.Points, pt)
-		fmt.Printf("%-10d %10d %12.1f %10.1f %10.0f\n", pt.Clients, pt.Queries, pt.ConnectMs, pt.WallMs, pt.Qps)
+		fmt.Printf("%-10d %10d %12.1f %10.1f %10.0f\n", fleet, done, connectMs, ms(wall), float64(done)/wall.Seconds())
 	}
 	fmt.Println()
-	if *p10out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail("P10", err)
-		}
-		if err := os.WriteFile(*p10out, append(buf, '\n'), 0o644); err != nil {
-			fail("P10", err)
-		}
-		fmt.Printf("(P10 measurements written to %s)\n\n", *p10out)
-	}
 }

@@ -14,15 +14,16 @@ import (
 //
 // In internal/exec the per-cell iteration is almost never a for
 // statement — it is a store-scan visitor literal (func(coords []int64,
-// vals []value.Value) bool) handed to Store.Scan, a chunk scanner, or
-// storeScanPruned. The analyzer requires every such literal to contain
-// one of:
+// vals []value.Value) bool) handed to Store.Scan or a chunk scan —
+// in the scan pipeline, runChunk's cell loop. The analyzer requires
+// every such literal to contain one of:
 //
 //   - a ctx.Err() / ctx.Done() call on a context.Context value
 //     (the `visited&1023 == 0` periodic-poll pattern),
 //   - a call to Engine.canceled(), the serial interpreter's poll,
-//   - a call forwarding to another visitor value (a wrapper like the
-//     ones in storeScanPruned: its callee polls, it must not).
+//   - a call forwarding to another visitor value (a wrapper like
+//     wholeStoreChunk's attribute projection: its callee polls, it
+//     must not).
 //
 // PR 10 extends the same convention to the network server's
 // connection read loops in internal/server/pgwire: any for-loop that

@@ -10,9 +10,9 @@ import (
 // the cell-at-a-time hot paths in internal/exec and internal/bat:
 // telemetry instruments are shared atomics, and touching one per cell
 // turns a register loop into a cache-line ping-pong between morsel
-// workers. Hot loops accumulate into plain local counters
-// (streamCounts) and publish with a handful of atomic adds once per
-// chunk (flushStreamCounts).
+// workers. Hot loops accumulate into plain local counters (runChunk's
+// visited count) and publish with a handful of atomic adds once per
+// chunk (flushChunk).
 //
 // The analyzer flags any atomic instrument mutation — Inc, Add, Set,
 // Observe on telemetry.Counter/Gauge/Histogram, or OpStats.AddNanos —

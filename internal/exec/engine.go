@@ -76,12 +76,9 @@ type Shared struct {
 	// node, binding mode), alongside the plan cache, so prepared
 	// statements compile kernels once; entries validate against the
 	// column signature they were compiled for, which re-checks after
-	// any DDL. fusedSkip memoizes "the fused scan path has nothing to
-	// offer" verdicts per SELECT node (stamped with the catalog
-	// version) so repeated executions skip the stream analysis.
-	vecMu     sync.Mutex
-	vecCache  map[vecCacheKey]*vecCacheEntry
-	fusedSkip map[*ast.Select]int64
+	// any DDL.
+	vecMu    sync.Mutex
+	vecCache map[vecCacheKey]*vecCacheEntry
 	// gov is the database's resource governor: admission control,
 	// statement timeouts and memory budgets. Nil on a Shared
 	// constructed without New (governor methods are nil-receiver safe).
@@ -140,7 +137,7 @@ type Engine struct {
 	prof *telemetry.Profile
 	// budget is the memory account of the in-flight governed statement;
 	// nil when no memory limit is configured (charge sites pay one nil
-	// check). Streaming plans copy it at compile time (streamPlan.budget)
+	// check). Scan pipelines copy it at compile time (pipeline.budget)
 	// so cursor workers never read session state.
 	budget *governor.Budget
 	// stmtDepth counts nested ExecContext frames: governance (admission,
@@ -380,7 +377,6 @@ func (e *Engine) SetParallelism(n int) {
 	e.planMu.Lock()
 	e.planCache = nil
 	e.planMu.Unlock()
-	e.invalidateVecCache()
 }
 
 // SetVectorized toggles vectorized (bulk-kernel) evaluation of
@@ -389,8 +385,6 @@ func (e *Engine) SetParallelism(n int) {
 // benchmarking and the identity test suite.
 func (e *Engine) SetVectorized(on bool) {
 	e.vectorized = on
-	// Fused-path verdicts embed the old setting.
-	e.invalidateVecCache()
 }
 
 // Vectorized reports whether bulk-kernel evaluation is enabled.

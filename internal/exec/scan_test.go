@@ -291,5 +291,14 @@ func TestPrunedScanKeepsMixedHoleRows(t *testing.T) {
 		if !ds.Get(0, 1).Null {
 			t.Fatalf("par=%d: pruned NULL attribute read as %v", par, ds.Get(0, 1))
 		}
+		// The one-cell direct read judges liveness on every attribute
+		// too: x=2 is live with a NULL, x=1 is a hole.
+		ds = mustExecSQL(t, e, `SELECT a FROM m WHERE x = 2`)
+		if ds.NumRows() != 1 || !ds.Get(0, 0).Null {
+			t.Fatalf("par=%d: point read of the live cell = %s, want one NULL row", par, ds)
+		}
+		if ds = mustExecSQL(t, e, `SELECT a FROM m WHERE x = 1`); ds.NumRows() != 0 {
+			t.Fatalf("par=%d: point read of a hole returned %d rows:\n%s", par, ds.NumRows(), ds)
+		}
 	}
 }

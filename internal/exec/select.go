@@ -8,7 +8,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/bat"
 	"repro/internal/expr"
-	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/sql/ast"
 	"repro/internal/value"
@@ -63,9 +62,8 @@ func (e *Engine) execSelectCore(sel *ast.Select, outer expr.Env) (*Dataset, erro
 	if len(sel.From) == 0 || e.fromIsVacuous(sel, outer) {
 		return e.projectRowless(sel, outer)
 	}
-	// Streamable scan→filter→project pipelines run fused per scan
-	// chunk on the materializing path too, when there is something to
-	// gain: compiled kernel batches, or LIMIT pushed into the scan.
+	// Streamable scan→filter→project statements run through the scan
+	// pipeline on the materializing path too.
 	if be, isBase := outer.(*baseEnv); isBase {
 		if ds, handled, err := e.fusedScanSelect(sel, be); handled || err != nil {
 			return ds, err
@@ -218,48 +216,17 @@ func (e *Engine) execSelectCore(sel *ast.Select, outer expr.Env) (*Dataset, erro
 	return e.finishSelectSorted(sel, out, outer, sorted)
 }
 
-// fusedScanSelect executes a streamable SELECT through the chunked
-// scan pipeline (filter + projection per scan batch) and materializes
-// the batches. handled is false when the statement's shape does not
-// qualify, or when the fused path has nothing to offer over the
-// generic scan (no compiled kernels and no LIMIT to push down) —
-// results are byte-identical either way, by the stream/materialize
-// identity contract.
+// fusedScanSelect executes a streamable SELECT through the scan
+// pipeline (filter + projection per scan batch) and materializes the
+// batches. handled is false when the statement's shape does not
+// qualify.
 func (e *Engine) fusedScanSelect(sel *ast.Select, env *baseEnv) (*Dataset, bool, error) {
-	// The "nothing to offer" verdict is stable per statement (kernel
-	// eligibility is schema-dependent, LIMIT presence is syntactic), so
-	// it memoizes: repeated executions of a non-fusable shape skip the
-	// stream analysis entirely. Invalidated with the plan cache.
-	ver := e.cat().SchemaVersion()
-	if sel.Limit == nil {
-		e.vecMu.Lock()
-		skipVer, skip := e.fusedSkip[sel]
-		e.vecMu.Unlock()
-		// Verdicts are schema-dependent; one stamped with another
-		// catalog version is stale and re-analyzes.
-		if skip && skipVer == ver {
-			return nil, false, nil
-		}
-	}
-	sp, ok, err := e.compileStream(sel, env)
+	p, ok, err := e.compileStream(sel, env)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if sp.vec == nil && sp.limit < 0 {
-		e.vecMu.Lock()
-		if e.fusedSkip == nil || len(e.fusedSkip) >= planCacheMax {
-			e.fusedSkip = make(map[*ast.Select]int64)
-		}
-		e.fusedSkip[sel] = ver
-		e.vecMu.Unlock()
-		return nil, false, nil
-	}
-	cur := e.streamCursorFor(e.ctx(), sp)
-	ds, err := cur.Materialize()
-	if err != nil {
-		return nil, true, err
-	}
-	return ds, true, nil
+	ds, err := e.pipelineCursor(e.ctx(), p).Materialize()
+	return ds, true, err
 }
 
 // resolveOrderCols maps ORDER BY keys onto dataset columns (by name or
@@ -917,212 +884,21 @@ func (e *Engine) scanArray(a *array.Array, qual string, sels []dimSel, restrict 
 	return e.scanArrayPruned(a, qual, sels, restrict, nil, 1, nil)
 }
 
-// scanChunksPerWorker is how many scan chunks each worker gets on
-// average: a few per worker lets dynamic scheduling balance skew
-// (selective filters, sparse slabs) across the pool.
-const scanChunksPerWorker = 4
-
-// minParallelScanCells gates the chunked parallel scan: below this
-// many materialized cells the fan-out overhead dominates and the
-// serial scan wins.
-const minParallelScanCells = 4096
-
 // scanArrayPruned materializes an array as a dataset of dimension
 // columns (IsDim) and the attribute columns selected by attrs (the
 // optimizer's pruned scan projection; nil keeps all), skipping holes
-// (§3.1). sels (FROM slicing) and restrict (pushed-down predicates)
-// bound the scan; when every dimension is pinned to a point the scan
-// is a direct cell read. par > 1 fans scan chunks across the morsel
-// pool when the store supports chunked scans; per-chunk buffers merge
-// in chunk order, so the result is byte-identical to the serial scan.
+// (§3.1): the scan pipeline with no stage, drained. sels (FROM
+// slicing) and restrict (pushed-down predicates) bound the scan; par >
+// 1 fans its chunks across the morsel pool, merged in chunk order, so
+// the result is byte-identical to the serial scan.
 func (e *Engine) scanArrayPruned(a *array.Array, qual string, sels []dimSel, restrict map[int]dimSel, attrs []int, par int, sk *chunkSkipper) (*Dataset, error) {
-	nd := len(a.Schema.Dims)
-	cols := scanColsPruned(a, qual, attrs)
-	out := NewDataset(cols)
-	// Effective per-dim constraint = intersection of sels and restrict.
-	eff := effectiveSels(a, sels, restrict)
-	if effProvablyEmpty(eff) {
-		return out, nil // disjoint slice ∩ predicate: nothing to scan
-	}
-	allPoint := nd > 0
-	for i := range eff {
-		if !eff[i].point {
-			allPoint = false
-			break
-		}
-	}
-	if allPoint {
-		coords := make([]int64, nd)
-		for i := range eff {
-			coords[i] = eff[i].val
-		}
-		if a.ValidCoords(coords) {
-			// Liveness is judged on every attribute — a cell whose
-			// selected attributes are NULL is still live (not a hole)
-			// when an unselected one is set.
-			na := len(a.Schema.Attrs)
-			all := make([]value.Value, na)
-			hole := true
-			for ai := 0; ai < na; ai++ {
-				all[ai] = a.Store.Get(coords, ai)
-				if !all[ai].Null {
-					hole = false
-				}
-			}
-			if !hole {
-				row := make([]value.Value, len(cols))
-				for i, c := range coords {
-					row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-				}
-				for vi, ai := range array.AllAttrs(attrs, na) {
-					row[nd+vi] = all[ai]
-				}
-				out.Append(row)
-			}
-		}
-		return out, nil
-	}
-	if par > 1 && e.pool != nil && a.Store.Len() >= minParallelScanCells {
-		if cs, ok := a.Store.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(par*scanChunksPerWorker, attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sk, a.Store, chunks, par*scanChunksPerWorker, e.prof)
-				return e.scanChunksParallel(a, cols, eff, chunks)
-			}
-		}
-	}
-	row := make([]value.Value, len(cols))
-	var visited int
-	var scanErr error
-	if err := faultinject.Hit("scan.chunk"); err != nil {
+	p := &pipeline{eff: effectiveSels(a, sels, restrict), cols: scanColsPruned(a, qual, attrs), limit: -1, budget: e.budget}
+	p.chunks, p.par = e.scanChunkList(a, p.eff, attrs, par, sk, e.prof)
+	x := &exchange{e: e, p: p, ctx: e.ctx()}
+	defer x.stop()
+	out := NewDataset(p.cols)
+	if err := x.drain(out.Vecs); err != nil {
 		return nil, err
-	}
-	e.skippedScan(a.Store, attrs, sk, e.prof)(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&8191 == 0 {
-			if err := e.canceled(); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		if !effMatch(eff, coords) {
-			return true
-		}
-		for i, c := range coords {
-			row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-		}
-		copy(row[nd:], vals)
-		out.Append(row)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if err := chargeBudget(e.budget, approxDatasetBytes(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// storeScanPruned runs a serial scan of st materializing only the
-// attribute columns in attrs (vals[i] = attribute attrs[i]; nil keeps
-// all), whether or not the store supports chunked scans.
-func storeScanPruned(st array.Store, attrs []int, visit func(coords []int64, vals []value.Value) bool) {
-	if attrs == nil {
-		st.Scan(visit)
-		return
-	}
-	if cs, ok := st.(array.ChunkedScanner); ok {
-		stopped := false
-		for _, chunk := range cs.ScanChunks(1, attrs) {
-			if stopped {
-				return
-			}
-			chunk(func(coords []int64, vals []value.Value) bool {
-				if !visit(coords, vals) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		}
-		return
-	}
-	sub := make([]value.Value, len(attrs))
-	st.Scan(func(coords []int64, vals []value.Value) bool {
-		for vi, ai := range attrs {
-			sub[vi] = vals[ai]
-		}
-		return visit(coords, sub)
-	})
-}
-
-// scanChunksParallel runs the chunked scan across the morsel pool:
-// each worker filters its chunks against eff and buffers matching rows
-// in a per-chunk dataset; the buffers concatenate in chunk index
-// order, which the store guarantees equals serial scan order.
-func (e *Engine) scanChunksParallel(a *array.Array, cols []Col, eff []dimSel, chunks []array.ChunkScan) (*Dataset, error) {
-	if len(chunks) == 0 {
-		// Every chunk was zone-map-skipped.
-		return NewDataset(cols), nil
-	}
-	nd := len(a.Schema.Dims)
-	parts := make([]*Dataset, len(chunks))
-	ctx := e.ctx()
-	bud := e.budget
-	err := e.pool.ForEachCtx(ctx, len(chunks), 1, func(m parallelMorsel) error {
-		for ci := m.Lo; ci < m.Hi; ci++ {
-			if err := faultinject.Hit("scan.chunk"); err != nil {
-				return err
-			}
-			part := NewDataset(cols)
-			row := make([]value.Value, len(cols))
-			visited := 0
-			var stop error
-			chunks[ci](func(coords []int64, vals []value.Value) bool {
-				visited++
-				if visited&8191 == 0 {
-					if err := ctx.Err(); err != nil {
-						stop = err
-						return false
-					}
-				}
-				if !effMatch(eff, coords) {
-					return true
-				}
-				for i, c := range coords {
-					row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-				}
-				copy(row[nd:], vals)
-				part.Append(row)
-				return true
-			})
-			if stop != nil {
-				return stop
-			}
-			// One charge per chunk buffer (the merge below concatenates
-			// into parts[0], whose growth these charges already cover).
-			if err := chargeBudget(bud, approxDatasetBytes(part)); err != nil {
-				return err
-			}
-			parts[ci] = part
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := parts[0]
-	extra := 0
-	for _, p := range parts[1:] {
-		extra += p.NumRows()
-	}
-	for c := range out.Vecs {
-		out.Vecs[c] = bat.Grow(out.Vecs[c], extra)
-	}
-	for _, p := range parts[1:] {
-		for c := range out.Vecs {
-			out.Vecs[c] = bat.Concat(out.Vecs[c], p.Vecs[c])
-		}
 	}
 	return out, nil
 }

@@ -292,46 +292,3 @@ func (e *Engine) skipChunks(sk *chunkSkipper, st array.Store, chunks []array.Chu
 	}
 	return kept
 }
-
-// serialSkipChunks is the chunking target of a serial scan that has a
-// skipper: fine enough that selective predicates drop most of the
-// store, coarse enough that per-chunk overhead stays negligible.
-const serialSkipChunks = 32
-
-// skippedScan returns a serial scan driver over st: the plain pruned
-// store walk, or — when a skipper compiled and the store keeps zone
-// maps — a chunked walk that drops skippable chunks first. Chunk
-// concatenation order equals serial scan order, so both drivers visit
-// surviving cells identically.
-func (e *Engine) skippedScan(st array.Store, attrs []int, sk *chunkSkipper, prof *telemetry.Profile) func(visit func(coords []int64, vals []value.Value) bool) {
-	if sk != nil && st.Len() >= minParallelScanCells {
-		if cs, ok := st.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(serialSkipChunks, attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sk, st, chunks, serialSkipChunks, prof)
-				return func(visit func(coords []int64, vals []value.Value) bool) {
-					stopped := false
-					for _, chunk := range chunks {
-						if stopped {
-							return
-						}
-						chunk(func(coords []int64, vals []value.Value) bool {
-							if !visit(coords, vals) {
-								stopped = true
-								return false
-							}
-							return true
-						})
-					}
-				}
-			}
-		}
-	}
-	return func(visit func(coords []int64, vals []value.Value) bool) {
-		storeScanPruned(st, attrs, visit)
-	}
-}
-
-// streamScan is skippedScan bound to a compiled stream plan.
-func (e *Engine) streamScan(sp *streamPlan) func(visit func(coords []int64, vals []value.Value) bool) {
-	return e.skippedScan(sp.arr.Store, sp.attrs, sp.skip, sp.prof)
-}

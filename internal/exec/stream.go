@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -17,62 +16,48 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the pull/iterator execution path behind the public
-// streaming API (sciql.Rows, the database/sql driver). A SELECT whose
-// shape qualifies — a single catalog-array pipeline of scan → filter →
-// project (+ LIMIT), engine-state-free expressions — yields rows as
-// they are produced instead of materializing the whole result:
+// This file is the one scan pipeline behind every array scan and the
+// pull/iterator API over it (sciql.Rows, the database/sql driver):
 //
-//   - serially, the interpreter walks the array store inside a
-//     coroutine (iter.Pull), evaluating filter and projection per cell
-//     and suspending after each emitted row;
-//   - in parallel, the morsel pool evaluates filter+projection per
-//     morsel and streams the merged partials to the consumer in morsel
-//     order, so iteration order (and results) are identical to the
-//     serial path; workers honor ctx.Done() between morsels, so
-//     cancellation actually stops long scans.
+//   - chunk source: the store's scan chunks after zone-map skipping, a
+//     one-cell direct read for an all-point restriction, or nothing
+//     for a provably empty one (scanChunkList);
+//   - cell loop: one loop fills a batch of scan columns per chunk,
+//     applying the effective dimension restriction (runChunk);
+//   - stage: a streamable SELECT's filter → HAVING → projection runs
+//     per batch, each expression as its kernel program when it
+//     compiled and through the interpreter over the batch's selected
+//     rows otherwise (runStage);
+//   - exchange: chunk outputs are delivered in chunk order, produced
+//     on the morsel pool when the scan fans out, pulled inline on the
+//     caller's goroutine otherwise (exchange).
 //
-// Everything else — aggregation, tiling, joins, ORDER BY, DISTINCT,
-// set operations — executes through the materializing interpreter and
+// A SELECT whose shape qualifies — a single catalog-array scan →
+// filter → project (+ LIMIT) with engine-state-free expressions —
+// streams its stage's output batches through a Cursor and materializes
+// by draining the same cursor. buildFrom's scans (joins, tilings,
+// aggregates) drain the pipeline with no stage. Everything else —
+// aggregation, tiling, joins, ORDER BY, DISTINCT, set operations —
 // is served from the completed dataset through the same Cursor
-// interface: one implementation, two views.
-
-// cursorItem is one step of a row stream: a row or a terminal error.
-type cursorItem struct {
-	row []value.Value
-	err error
-}
-
-// vecBatch is one step of a batch stream: the projected rows of one
-// scan batch as a dataset, or a terminal error. Vectorized cursors
-// produce batches; Next unpacks them row by row while Materialize
-// concatenates their columns wholesale.
-type vecBatch struct {
-	ds  *Dataset
-	err error
-}
+// interface.
 
 // Cursor is a pull-based row stream over a query result. It is not
 // safe for concurrent use; Close must be called when done (Materialize
 // and a drained Next loop close it implicitly).
 type Cursor struct {
 	cols []Col
-	// items carry the projection metadata needed to rebuild a dataset
-	// with the same column typing as the materialized path; nil for
-	// dataset-backed cursors.
-	items []ast.SelectItem
-	// ds backs fallback cursors (materialized execution).
+	// ds backs dataset cursors (materialized execution).
 	ds  *Dataset
 	row int // next row of ds
-	// next/stop drive row-streaming cursors.
-	next   func() (cursorItem, bool)
-	stop   func()
-	cancel context.CancelFunc
-	done   bool
-	err    error
-	// nextBatch/stopBatch drive vectorized (batch-streaming) cursors.
-	nextBatch func() (vecBatch, bool)
-	stopBatch func()
+	// src delivers a pipeline cursor's output batches; outCols is their
+	// static column template (kernel result types; interpreted items
+	// are Unknown until Materialize promotes the whole column).
+	src      *exchange
+	outCols  []Col
+	batch    *Dataset
+	batchRow int
+	done     bool
+	err      error
 	// onClose releases resources held for the cursor's lifetime (the
 	// session's pinned catalog snapshot); run once, on first Close.
 	onClose func()
@@ -80,17 +65,11 @@ type Cursor struct {
 	// (timeout translation, panic accounting); nil on ungoverned
 	// cursors. Applied once — c.err latches the translated error.
 	mapErr func(error) error
-	// batchCols is the static output column template of a vectorized
-	// cursor (kernel result types; all-NULL columns refine to Float at
-	// materialization, like the interpreter's type promotion).
-	batchCols []Col
-	batch     *Dataset
-	batchRow  int
 }
 
 // Cols describes the cursor's columns. For streaming cursors the
-// types are provisional (computed expressions promote per row); names,
-// qualifiers and dimension flags are exact.
+// types are provisional (computed expressions promote at
+// materialization); names, qualifiers and dimension flags are exact.
 func (c *Cursor) Cols() []Col { return c.cols }
 
 // finishErr terminates the cursor with err: the governance boundary's
@@ -131,49 +110,31 @@ func (c *Cursor) Next() (row []value.Value, err error) {
 		c.row++
 		return row, nil
 	}
-	if c.nextBatch != nil {
-		for c.batch == nil || c.batchRow >= c.batch.NumRows() {
-			b, ok := c.nextBatch()
-			if !ok {
-				c.done = true
-				return nil, nil
-			}
-			if b.err != nil {
-				return nil, c.finishErr(b.err)
-			}
-			c.batch, c.batchRow = b.ds, 0
+	for c.batch == nil || c.batchRow >= c.batch.NumRows() {
+		b, err := c.src.pull()
+		if err != nil {
+			return nil, c.finishErr(err)
 		}
-		row := c.batch.Row(c.batchRow)
-		c.batchRow++
-		return row, nil
+		if b == nil {
+			c.done = true
+			return nil, nil
+		}
+		c.batch, c.batchRow = b, 0
 	}
-	it, ok := c.next()
-	if !ok {
-		c.done = true
-		return nil, nil
-	}
-	if it.err != nil {
-		return nil, c.finishErr(it.err)
-	}
-	return it.row, nil
+	row = c.batch.Row(c.batchRow)
+	c.batchRow++
+	return row, nil
 }
 
-// Close releases the stream: the producing coroutine is stopped and
-// any in-flight parallel workers are canceled. Safe to call multiple
-// times. The resource teardown runs in a deferred block so a failure
-// mid-close (the cursor.close fault point, a panicking stop hook) can
-// never leak the snapshot pin or the admission slot.
+// Close releases the stream: any in-flight parallel workers are
+// canceled. Safe to call multiple times. The resource teardown runs in
+// a deferred block so a failure mid-close (the cursor.close fault
+// point) can never leak the snapshot pin or the admission slot.
 func (c *Cursor) Close() {
 	defer func() {
 		r := recover()
-		if c.cancel != nil {
-			c.cancel()
-		}
-		if c.stop != nil {
-			c.stop()
-		}
-		if c.stopBatch != nil {
-			c.stopBatch()
+		if c.src != nil {
+			c.src.stop()
 		}
 		if c.onClose != nil {
 			oc := c.onClose
@@ -200,7 +161,9 @@ func (c *Cursor) Close() {
 
 // Materialize drains the cursor into a dataset with the same column
 // metadata and type promotion as the materializing execution path, so
-// the two views of one query are byte-identical.
+// the two views of one query are byte-identical. Batch columns
+// concatenate wholesale; each output column then takes buildProjected's
+// whole-column promotion rule (finalizeVecOutput).
 func (c *Cursor) Materialize() (ds *Dataset, err error) {
 	if c.ds != nil {
 		return c.ds, nil
@@ -211,51 +174,28 @@ func (c *Cursor) Materialize() (ds *Dataset, err error) {
 		}
 	}()
 	defer c.Close()
-	if c.nextBatch != nil {
-		// Vectorized cursors materialize by concatenating batch columns
-		// wholesale — no per-row boxing.
-		acc := make([]bat.Vector, len(c.batchCols))
-		for i, col := range c.batchCols {
-			acc[i] = bat.New(col.Typ, 0)
-		}
-		if c.batch != nil && c.batchRow < c.batch.NumRows() {
-			for i := range acc {
-				acc[i] = bat.Concat(acc[i], bat.ViewRange(c.batch.Vecs[i], c.batchRow, c.batch.NumRows()))
-			}
-		}
-		for !c.done && c.err == nil {
-			b, ok := c.nextBatch()
-			if !ok {
-				break
-			}
-			if b.err != nil {
-				return nil, c.finishErr(b.err)
-			}
-			for i := range acc {
-				acc[i] = bat.Concat(acc[i], b.ds.Vecs[i])
-			}
-		}
-		cols := append([]Col(nil), c.batchCols...)
+	if c.err != nil {
+		return nil, c.err
+	}
+	acc := make([]bat.Vector, len(c.outCols))
+	for i, col := range c.outCols {
+		acc[i] = bat.New(col.Typ, 0)
+	}
+	if c.batch != nil && c.batchRow < c.batch.NumRows() {
 		for i := range acc {
-			v, t := finalizeVecOutput(acc[i])
-			acc[i], cols[i].Typ = v, t
-		}
-		return &Dataset{Cols: cols, Vecs: acc}, nil
-	}
-	colVals := make([][]value.Value, len(c.items))
-	for {
-		row, err := c.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		for i, v := range row {
-			colVals[i] = append(colVals[i], v)
+			acc[i] = bat.Concat(acc[i], bat.ViewRange(c.batch.Vecs[i], c.batchRow, c.batch.NumRows()))
 		}
 	}
-	return buildProjected(c.items, colVals), nil
+	if !c.done {
+		if err := c.src.drain(acc); err != nil {
+			return nil, c.finishErr(err)
+		}
+	}
+	cols := append([]Col(nil), c.outCols...)
+	for i := range acc {
+		acc[i], cols[i].Typ = finalizeVecOutput(acc[i])
+	}
+	return &Dataset{Cols: cols, Vecs: acc}, nil
 }
 
 // Streaming reports whether rows are produced incrementally (as
@@ -269,201 +209,135 @@ func datasetCursor(ds *Dataset) *Cursor { return &Cursor{cols: ds.Cols, ds: ds} 
 // (EXPLAIN results stream through it like any other query).
 func DatasetCursor(ds *Dataset) *Cursor { return datasetCursor(ds) }
 
-// streamPlan is a compiled streamable SELECT: one array scan with
-// per-row filter and projection.
-type streamPlan struct {
-	arr    *array.Array
-	qual   string
-	sels   []dimSel
+// pipeline is one compiled array scan: its chunk list, the effective
+// per-dimension restriction the cell loop applies, the scan batch
+// columns, and an optional per-batch stage.
+type pipeline struct {
 	eff    []dimSel
-	attrs  []int // pruned scan projection (nil = all attributes)
-	items  []ast.SelectItem
-	where  ast.Expr // residual conjuncts after pushdown
-	having ast.Expr // aggregate-free HAVING (post-where row filter)
-	limit  int      // -1: none
-	par    int
-	outer  *baseEnv // host parameters
-	// vec holds the compiled kernel pipeline when filter, HAVING and
-	// every projection item vectorize; nil falls back to the row
-	// interpreter per cell.
-	vec *streamVec
-	// skip holds the compiled zone-map skip conditions; nil when chunk
-	// skipping is off or nothing in the statement can prune a chunk.
-	skip *chunkSkipper
+	chunks []array.ChunkScan
+	cols   []Col       // scan batch columns: dimensions, then the pruned attributes
+	stage  *batchStage // nil: the scan batches are the output
+	limit  int         // -1: none
+	// par > 1 fans the chunks out over the morsel pool.
+	par int
 	// prof is the profile collector of the arming EXPLAIN ANALYZE,
-	// copied from the session at compile time so parallel workers never
-	// read session state; nil on unprofiled statements.
+	// copied at compile time so parallel workers never read session
+	// state; nil on unprofiled statements and on buildFrom's scans,
+	// which the statement attributes as a whole.
 	prof *telemetry.Profile
-	// budget is the statement's memory account, copied from the session
-	// at compile time for the same reason as prof; nil when no memory
-	// limit is configured.
+	// budget is the statement's memory account, copied for the same
+	// reason as prof; nil when no memory limit is configured.
 	budget *governor.Budget
 }
 
-// streamCounts accumulates one scan segment's row-flow locally (plain
-// ints — no atomics inside the cell loop); flushStreamCounts publishes
-// it with a handful of atomic adds per chunk.
-type streamCounts struct {
-	visited   int64 // cells walked
-	matched   int64 // cells passing the effective dimension restriction
-	postWhere int64 // rows surviving the residual WHERE
-	emitted   int64 // rows surviving HAVING, projected and emitted
+// batchStage is the per-batch filter → HAVING → projection of a
+// streamable SELECT. Each expression runs as its kernel program when
+// it compiled, and through the interpreter over the batch's selected
+// rows otherwise, so an expression outside the kernel surface (a CASE
+// item) costs the interpretation of that expression alone.
+type batchStage struct {
+	outer      *baseEnv // host parameters
+	where      ast.Expr // residual conjuncts after pushdown
+	having     ast.Expr // aggregate-free HAVING (post-where row filter)
+	whereProg  *vecProg
+	havingProg *vecProg
+	items      []ast.SelectItem
+	progs      []*vecProg // per item; nil: interpreted
+	gather     []int      // batch columns the item programs reference
+	header     []Col      // provisional cursor header (streamColumns)
+	outCols    []Col      // static output column template
+	// vecItems/rowItems record whether any projection item runs as a
+	// kernel / through the interpreter (the Project operator's mode).
+	vecItems, rowItems bool
 }
 
-// flushStreamCounts publishes one scan segment (a chunk, or a whole
-// serial scan) to the engine counters — and to the armed profile, when
-// there is one — attributing the segment's wall time to the fused
-// scan pipeline's root operator.
-func (e *Engine) flushStreamCounts(sp *streamPlan, c *streamCounts, el time.Duration) {
-	m := e.metrics()
-	m.scanChunks.Inc()
-	m.scanCells.Add(c.visited)
-	m.scanRows.Add(c.emitted)
-	p := sp.prof
-	if p == nil {
-		return
-	}
-	p.Scan.Chunks.Add(1)
-	p.Scan.Cells.Add(c.visited)
-	p.Scan.RowsOut.Add(c.matched)
-	p.Scan.AddNanos(el)
-	p.Scan.RowBatches.Add(1)
-	if sp.where != nil {
-		p.Filter.RowsIn.Add(c.matched)
-		p.Filter.RowsOut.Add(c.postWhere)
-		p.Filter.RowBatches.Add(1)
-	}
-	if sp.having != nil {
-		p.Having.RowsIn.Add(c.postWhere)
-		p.Having.RowsOut.Add(c.emitted)
-		p.Having.RowBatches.Add(1)
-	}
-	p.Project.RowsIn.Add(c.emitted)
-	p.Project.RowsOut.Add(c.emitted)
-	p.Project.RowBatches.Add(1)
-	if sp.limit >= 0 {
-		p.Limit.RowsOut.Add(c.emitted)
-		p.Limit.RowBatches.Add(1)
-	}
-}
-
-// streamVec is the compiled vectorized pipeline of a streamable
-// SELECT: per scan batch, the filter program produces a selection
-// vector, the referenced columns gather through it, and the item
-// programs evaluate over the gathered batch.
-type streamVec struct {
-	srcCols []Col      // pruned scan columns the programs bind against
-	filter  *vecProg   // nil when every conjunct was pushed down
-	having  *vecProg   // nil without HAVING
-	items   []*vecProg // one per projection item
-	gather  []int      // batch columns the item programs reference
-	outCols []Col      // static output column template
-}
-
-// compileStreamVec compiles the stream plan's expressions into kernel
-// programs; nil when any of them falls outside the vectorizable
-// surface (the caller keeps the row pipeline).
-func (e *Engine) compileStreamVec(sp *streamPlan) *streamVec {
-	if !e.vectorized {
-		return nil
-	}
-	srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-	sv := &streamVec{srcCols: srcCols}
-	if sp.where != nil {
-		if sv.filter = e.vecCompile(sp.where, srcCols, false); sv.filter == nil {
-			return nil
+// compileStage compiles a statement's filter, HAVING and projection
+// against the scan columns, one expression at a time.
+func (e *Engine) compileStage(st *batchStage, cols []Col) {
+	st.whereProg = e.vecCompile(st.where, cols, false)
+	st.havingProg = e.vecCompile(st.having, cols, false)
+	used := make([]bool, len(cols))
+	st.progs = make([]*vecProg, len(st.items))
+	st.outCols = make([]Col, len(st.items))
+	for i, it := range st.items {
+		st.outCols[i] = Col{Name: itemName(it, i), Typ: value.Unknown, IsDim: it.DimQual}
+		if id, ok := it.Expr.(*ast.Ident); ok {
+			st.outCols[i].Qual = id.Table
 		}
-	}
-	if sp.having != nil {
-		if sv.having = e.vecCompile(sp.having, srcCols, false); sv.having == nil {
-			return nil
-		}
-	}
-	used := map[int]bool{}
-	sv.items = make([]*vecProg, len(sp.items))
-	sv.outCols = make([]Col, len(sp.items))
-	for i, it := range sp.items {
-		p := e.vecCompile(it.Expr, srcCols, false)
+		p := e.vecCompile(it.Expr, cols, false)
 		if p == nil {
-			return nil
+			st.rowItems = true
+			continue
 		}
-		sv.items[i] = p
+		st.vecItems = true
+		st.progs[i] = p
+		st.outCols[i].Typ = p.typ
 		for _, ci := range p.used {
 			used[ci] = true
 		}
-		sv.outCols[i] = Col{Name: itemName(it, i), Typ: p.typ, IsDim: it.DimQual}
-		if id, ok := it.Expr.(*ast.Ident); ok {
-			sv.outCols[i].Qual = id.Table
+	}
+	for ci, u := range used {
+		if u {
+			st.gather = append(st.gather, ci)
 		}
 	}
-	for ci := range used {
-		sv.gather = append(sv.gather, ci)
-	}
-	return sv
 }
 
-// vecProcessBatch runs the compiled pipeline over one input batch:
-// filter → selection vector → gather → projection kernels. max caps
-// the number of output rows (LIMIT pushdown; -1 for none).
-func (e *Engine) vecProcessBatch(sp *streamPlan, in *Dataset, max int) *Dataset {
-	sv := sp.vec
-	pf := sp.prof
+// kernels reports whether any of the stage's expressions runs as a
+// kernel program: the scan then counts as feeding a vectorized batch.
+func (st *batchStage) kernels() bool {
+	return st.whereProg != nil || st.havingProg != nil || st.vecItems
+}
+
+// runStage runs the stage over one scan batch: filter → selection
+// vector → HAVING → LIMIT cap (maxRows; -1 for none) → projection.
+func (e *Engine) runStage(p *pipeline, in *Dataset, maxRows int) (*Dataset, error) {
+	st, pf := p.stage, p.prof
 	n := in.NumRows()
-	out := &Dataset{Cols: sv.outCols, Vecs: make([]bat.Vector, len(sv.outCols))}
+	out := &Dataset{Cols: st.outCols, Vecs: make([]bat.Vector, len(st.items))}
 	var sel []int
 	all := true
-	var t0 time.Time
-	if sv.filter != nil {
-		if pf != nil {
-			t0 = time.Now()
-		}
-		sel = sv.filter.filterSel(in.Vecs, 0, n)
-		if pf != nil {
-			pf.Filter.AddNanos(time.Since(t0))
-			pf.Filter.RowsIn.Add(int64(n))
-			pf.Filter.RowsOut.Add(int64(len(sel)))
-			pf.Filter.VecBatches.Add(1)
+	var err error
+	if st.where != nil {
+		t0 := time.Now()
+		if sel, err = e.stageFilter(st, st.where, st.whereProg, p.cols, in, sel, all); err != nil {
+			return nil, err
 		}
 		all = false
+		if pf != nil {
+			noteOp(&pf.Filter, time.Since(t0), n, len(sel), st.whereProg != nil, st.whereProg == nil)
+		}
 	}
-	if sv.having != nil {
-		if pf != nil {
-			t0 = time.Now()
+	if st.having != nil {
+		t0 := time.Now()
+		pre := n
+		if !all {
+			pre = len(sel)
 		}
-		hv := sv.having.eval(in.Vecs, 0, n)
-		if all {
-			sel = make([]int, n)
-			for i := range sel {
-				sel[i] = i
-			}
-			all = false
+		if sel, err = e.stageFilter(st, st.having, st.havingProg, p.cols, in, sel, all); err != nil {
+			return nil, err
 		}
-		pre := len(sel)
-		sel = bat.AndSel(sel, hv)
+		all = false
 		if pf != nil {
-			pf.Having.AddNanos(time.Since(t0))
-			pf.Having.RowsIn.Add(int64(pre))
-			pf.Having.RowsOut.Add(int64(len(sel)))
-			pf.Having.VecBatches.Add(1)
+			noteOp(&pf.Having, time.Since(t0), pre, len(sel), st.havingProg != nil, st.havingProg == nil)
 		}
 	}
 	m := n
 	if !all {
 		m = len(sel)
 	}
-	if max >= 0 && m > max {
-		m = max
+	kept := m
+	if maxRows >= 0 && m > maxRows {
+		m = maxRows
 		if !all {
 			sel = sel[:m]
 		}
 	}
-	if pf != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	gin := in.Vecs
 	if !all || m < n {
 		gin = make([]bat.Vector, len(in.Vecs))
-		for _, ci := range sv.gather {
+		for _, ci := range st.gather {
 			if all {
 				gin[ci] = bat.ViewRange(in.Vecs[ci], 0, m)
 			} else {
@@ -471,20 +345,454 @@ func (e *Engine) vecProcessBatch(sp *streamPlan, in *Dataset, max int) *Dataset 
 			}
 		}
 	}
-	for i, p := range sv.items {
-		out.Vecs[i] = p.eval(gin, 0, m)
-	}
-	if pf != nil {
-		pf.Project.AddNanos(time.Since(t0))
-		pf.Project.RowsIn.Add(int64(m))
-		pf.Project.RowsOut.Add(int64(m))
-		pf.Project.VecBatches.Add(1)
-		if sp.limit >= 0 {
-			pf.Limit.RowsOut.Add(int64(m))
-			pf.Limit.VecBatches.Add(1)
+	for i, prog := range st.progs {
+		if prog != nil {
+			out.Vecs[i] = prog.eval(gin, 0, m)
 		}
 	}
-	e.metrics().scanRows.Add(int64(m))
+	if st.rowItems {
+		if err := e.interpretItems(st, p.cols, in, sel, all, m, out); err != nil {
+			return nil, err
+		}
+	}
+	if pf != nil {
+		noteOp(&pf.Project, time.Since(t0), m, m, st.vecItems, st.rowItems)
+		if p.limit >= 0 {
+			noteOp(&pf.Limit, 0, kept, m, st.vecItems, st.rowItems)
+		}
+	}
+	return out, nil
+}
+
+// noteOp publishes one batch of a stage operator to the armed profile:
+// wall time, rows in/out, and which execution modes ran.
+func noteOp(op *telemetry.OpStats, d time.Duration, in, out int, vec, row bool) {
+	op.AddNanos(d)
+	op.RowsIn.Add(int64(in))
+	op.RowsOut.Add(int64(out))
+	if vec {
+		op.VecBatches.Add(1)
+	}
+	if row {
+		op.RowBatches.Add(1)
+	}
+}
+
+// stageFilter narrows the batch's selection (all: every row) to the
+// rows where x holds (SQL truth: non-NULL and true): with its kernel
+// program when prog is non-nil, else by interpreting x per row.
+func (e *Engine) stageFilter(st *batchStage, x ast.Expr, prog *vecProg, cols []Col, in *Dataset, sel []int, all bool) ([]int, error) {
+	n := in.NumRows()
+	if prog != nil {
+		if all {
+			return prog.filterSel(in.Vecs, 0, n), nil
+		}
+		return bat.AndSel(sel, prog.eval(in.Vecs, 0, n)), nil
+	}
+	if all {
+		sel = make([]int, n)
+		for i := range sel {
+			sel[i] = i
+		}
+	}
+	env := &valuesEnv{cols: cols, vals: make([]value.Value, len(cols)), outer: st.outer}
+	out := sel[:0]
+	for _, r := range sel {
+		bindRow(env, in, r)
+		ok, err := e.Ev.EvalBool(x, env)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// interpretItems evaluates the projection items without a kernel
+// program over the first m selected rows, one boxed column each.
+func (e *Engine) interpretItems(st *batchStage, cols []Col, in *Dataset, sel []int, all bool, m int, out *Dataset) error {
+	env := &valuesEnv{cols: cols, vals: make([]value.Value, len(cols)), outer: st.outer}
+	vals := make([][]value.Value, len(st.items))
+	for i, prog := range st.progs {
+		if prog == nil {
+			vals[i] = make([]value.Value, 0, m)
+		}
+	}
+	for k := 0; k < m; k++ {
+		r := k
+		if !all {
+			r = sel[k]
+		}
+		bindRow(env, in, r)
+		for i, it := range st.items {
+			if st.progs[i] != nil {
+				continue
+			}
+			v, err := e.Ev.Eval(it.Expr, env)
+			if err != nil {
+				return err
+			}
+			vals[i] = append(vals[i], v)
+		}
+	}
+	for i, prog := range st.progs {
+		if prog == nil {
+			out.Vecs[i] = bat.FromValues(value.Unknown, vals[i])
+		}
+	}
+	return nil
+}
+
+// bindRow loads row r of the batch into the interpreter environment.
+func bindRow(env *valuesEnv, in *Dataset, r int) {
+	for c, v := range in.Vecs {
+		env.vals[c] = v.Get(r)
+	}
+}
+
+// scanChunksPerWorker is how many scan chunks each worker gets at
+// least: a few per worker lets dynamic scheduling balance skew
+// (selective filters, sparse slabs) across the pool.
+const scanChunksPerWorker = 4
+
+// minParallelScanCells gates the parallel exchange: below this many
+// materialized cells the fan-out overhead dominates and the chunks are
+// pulled inline.
+const minParallelScanCells = 4096
+
+// scanChunkList is the pipeline's chunk source. A provably empty
+// restriction gives no chunks; an all-point restriction gives the
+// one-cell direct read; otherwise the store's scan chunks — about one
+// batch (vecBatchRows cells) each and at least scanChunksPerWorker per
+// worker when fanning out (dense stores always chunk by storage chunk)
+// — survive zone-map skipping. Stores without ChunkedScanner scan as a
+// single chunk. The returned par is the exchange width: 1 unless the
+// morsel pool exists and the store is big enough to pay for fan-out.
+func (e *Engine) scanChunkList(a *array.Array, eff []dimSel, attrs []int, par int, sk *chunkSkipper, prof *telemetry.Profile) ([]array.ChunkScan, int) {
+	if effProvablyEmpty(eff) {
+		return nil, 1
+	}
+	if coords, ok := pointCoords(eff); ok {
+		return []array.ChunkScan{pointChunk(a, coords, attrs)}, 1
+	}
+	st := a.Store
+	n := st.Len()
+	if e.pool == nil || n < minParallelScanCells {
+		par = 1
+	}
+	cs, ok := st.(array.ChunkedScanner)
+	if !ok {
+		return []array.ChunkScan{wholeStoreChunk(st, attrs)}, 1
+	}
+	target := max(1, (n+vecBatchRows-1)/vecBatchRows)
+	if par > 1 {
+		target = max(target, par*scanChunksPerWorker)
+	}
+	return e.skipChunks(sk, st, cs.ScanChunks(target, attrs), target, prof), par
+}
+
+// pointCoords returns the cell an all-point restriction pins.
+func pointCoords(eff []dimSel) ([]int64, bool) {
+	if len(eff) == 0 {
+		return nil, false
+	}
+	coords := make([]int64, len(eff))
+	for i := range eff {
+		if !eff[i].point {
+			return nil, false
+		}
+		coords[i] = eff[i].val
+	}
+	return coords, true
+}
+
+// pointChunk is the one-cell chunk of an all-point restriction: a
+// direct read. Liveness is judged on every attribute, like Scan's — a
+// cell whose selected attributes are NULL is still live (not a hole)
+// when an unselected one is set.
+func pointChunk(a *array.Array, coords []int64, attrs []int) array.ChunkScan {
+	return func(visit func(coords []int64, vals []value.Value) bool) {
+		if !a.ValidCoords(coords) {
+			return
+		}
+		all := make([]value.Value, len(a.Schema.Attrs))
+		live := false
+		for ai := range all {
+			all[ai] = a.Store.Get(coords, ai)
+			live = live || !all[ai].Null
+		}
+		if !live {
+			return
+		}
+		sel := array.AllAttrs(attrs, len(all))
+		vals := make([]value.Value, len(sel))
+		for vi, ai := range sel {
+			vals[vi] = all[ai]
+		}
+		visit(coords, vals)
+	}
+}
+
+// wholeStoreChunk scans a store without ChunkedScanner as one chunk,
+// materializing only the attribute columns in attrs (nil keeps all).
+func wholeStoreChunk(st array.Store, attrs []int) array.ChunkScan {
+	if attrs == nil {
+		return st.Scan
+	}
+	return func(visit func(coords []int64, vals []value.Value) bool) {
+		sub := make([]value.Value, len(attrs))
+		st.Scan(func(coords []int64, vals []value.Value) bool {
+			for vi, ai := range attrs {
+				sub[vi] = vals[ai]
+			}
+			return visit(coords, sub)
+		})
+	}
+}
+
+// runChunk is the pipeline's one cell loop: it fills a batch of scan
+// columns from one chunk — dimensions appended typed, the effective
+// restriction applied per cell, ctx polled every 1024 cells — runs the
+// stage (output capped at maxRows; -1 for none), and publishes the
+// chunk's counters and profile and charges its budget once.
+func (e *Engine) runChunk(ctx context.Context, p *pipeline, chunk array.ChunkScan, maxRows int) (*Dataset, error) {
+	if err := faultinject.Hit("scan.chunk"); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	in := NewDataset(p.cols)
+	nd := len(p.eff)
+	dims := make([]*bat.IntVector, nd)
+	for i := range dims {
+		dims[i] = in.Vecs[i].(*bat.IntVector)
+	}
+	var visited int64
+	var ctxErr error
+	chunk(func(coords []int64, vals []value.Value) bool {
+		visited++
+		if visited&1023 == 0 {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				return false
+			}
+		}
+		if !effMatch(p.eff, coords) {
+			return true
+		}
+		for i, c := range coords {
+			dims[i].AppendInt64(c)
+		}
+		for vi, v := range vals {
+			in.Vecs[nd+vi].Append(v)
+		}
+		return true
+	})
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	scanned := time.Since(start)
+	// An empty batch skips the stage: the exchange drops empty outputs.
+	out := in
+	if p.stage != nil && in.NumRows() > 0 {
+		var err error
+		if out, err = e.runStage(p, in, maxRows); err != nil {
+			return nil, err
+		}
+	}
+	e.flushChunk(p, visited, in.NumRows(), out.NumRows(), scanned)
+	return out, chargeBudget(p.budget, approxDatasetBytes(out))
+}
+
+// flushChunk publishes one chunk's row flow to the engine counters —
+// and to the armed profile, when there is one — with a handful of
+// atomic adds (the hotloopflush discipline: none per cell).
+func (e *Engine) flushChunk(p *pipeline, visited int64, matched, emitted int, scanned time.Duration) {
+	m := e.metrics()
+	m.scanChunks.Inc()
+	m.scanCells.Add(visited)
+	m.scanRows.Add(int64(emitted))
+	pf := p.prof
+	if pf == nil {
+		return
+	}
+	pf.Scan.Chunks.Add(1)
+	pf.Scan.Cells.Add(visited)
+	pf.Scan.RowsOut.Add(int64(matched))
+	pf.Scan.AddNanos(scanned)
+	if p.stage != nil && p.stage.kernels() {
+		pf.Scan.VecBatches.Add(1)
+	} else {
+		pf.Scan.RowBatches.Add(1)
+	}
+}
+
+// exchange delivers a pipeline's chunk outputs in chunk order. Inline,
+// each pull runs the next chunk on the caller's goroutine. In parallel
+// (par > 1 and at least two chunks), the first pull starts the morsel
+// pool over all chunks; workers send each chunk's output tagged with
+// its index and the consumer reorders them, so iteration order (and
+// results) equal the inline order. Workers poll ctx inside chunks, and
+// their sends select on ctx.Done(), so canceling the query winds the
+// scan down; stop also waits for the workers to exit. LIMIT caps
+// each chunk's output at the rows still wanted and stops the exchange
+// once enough have surfaced.
+type exchange struct {
+	e       *Engine
+	p       *pipeline
+	ctx     context.Context
+	next    int // index of the next chunk to deliver
+	emitted int
+	// Parallel delivery state, set up by the first pull.
+	cancel  context.CancelFunc
+	ch      chan chunkOut
+	pending map[int]*Dataset
+}
+
+// chunkOut is one worker result: chunk idx's output, or an error.
+type chunkOut struct {
+	idx int
+	ds  *Dataset
+	err error
+}
+
+// pull returns the next non-empty chunk output, or nil once the chunks
+// are exhausted or the LIMIT is met (which also stops the workers).
+func (x *exchange) pull() (*Dataset, error) {
+	p := x.p
+	for x.next < len(p.chunks) && (p.limit < 0 || x.emitted < p.limit) {
+		var ds *Dataset
+		var err error
+		if p.par > 1 && len(p.chunks) >= 2 {
+			ds, err = x.await(x.next)
+		} else {
+			want := -1
+			if p.limit >= 0 {
+				want = p.limit - x.emitted
+			}
+			ds, err = x.e.runChunk(x.ctx, p, p.chunks[x.next], want)
+		}
+		if err != nil {
+			return nil, err
+		}
+		x.next++
+		if p.limit >= 0 && x.emitted+ds.NumRows() > p.limit {
+			ds = headRows(ds, p.limit-x.emitted)
+		}
+		x.emitted += ds.NumRows()
+		if ds.NumRows() > 0 {
+			return ds, nil
+		}
+	}
+	x.stop()
+	return nil, nil
+}
+
+// await returns chunk idx's output from the parallel workers, starting
+// them on first use.
+func (x *exchange) await(idx int) (*Dataset, error) {
+	if x.ch == nil {
+		x.start()
+	}
+	for {
+		if ds, ok := x.pending[idx]; ok {
+			delete(x.pending, idx)
+			return ds, nil
+		}
+		b, ok := <-x.ch
+		if !ok {
+			// Closed without chunk idx: the workers stopped on a canceled
+			// context and their error send lost the race with Done.
+			return nil, x.ctx.Err()
+		}
+		if b.err != nil {
+			return nil, b.err
+		}
+		x.pending[b.idx] = b.ds
+	}
+}
+
+// start runs every chunk on the morsel pool. Each chunk's output is
+// capped at the LIMIT: the final result takes at most that many rows
+// from any one chunk.
+func (x *exchange) start() {
+	e, p := x.e, x.p
+	x.ctx, x.cancel = context.WithCancel(x.ctx)
+	ctx := x.ctx
+	// Two results per worker let every worker finish a chunk ahead of
+	// the consumer without buffering the whole scan.
+	ch := make(chan chunkOut, 2*e.pool.Workers())
+	x.ch, x.pending = ch, make(map[int]*Dataset)
+	go func() {
+		defer close(ch)
+		err := e.pool.ForEachCtx(ctx, len(p.chunks), 1, func(m parallelMorsel) error {
+			for ci := m.Lo; ci < m.Hi; ci++ {
+				ds, err := e.runChunk(ctx, p, p.chunks[ci], p.limit)
+				if err != nil {
+					return err
+				}
+				select {
+				case ch <- chunkOut{idx: ci, ds: ds}:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			select {
+			case ch <- chunkOut{err: err}:
+			case <-ctx.Done():
+			}
+		}
+	}()
+}
+
+// stop cancels in-flight workers and returns once they have exited
+// (the producer closes ch last); the exchange is unusable afterwards.
+func (x *exchange) stop() {
+	if x.cancel == nil {
+		return
+	}
+	x.cancel()
+	for range x.ch {
+	}
+}
+
+// drain pulls every remaining chunk output and appends them to acc
+// column by column, growing each column once.
+func (x *exchange) drain(acc []bat.Vector) error {
+	var parts []*Dataset
+	rows := 0
+	for {
+		ds, err := x.pull()
+		if err != nil {
+			return err
+		}
+		if ds == nil {
+			break
+		}
+		parts = append(parts, ds)
+		rows += ds.NumRows()
+	}
+	for i := range acc {
+		acc[i] = bat.Grow(acc[i], rows)
+		for _, ds := range parts {
+			acc[i] = bat.Concat(acc[i], ds.Vecs[i])
+		}
+	}
+	return nil
+}
+
+// headRows returns the first k rows of ds as a fresh dataset.
+func headRows(ds *Dataset, k int) *Dataset {
+	out := &Dataset{Cols: ds.Cols, Vecs: make([]bat.Vector, len(ds.Vecs))}
+	for i, v := range ds.Vecs {
+		out.Vecs[i] = v.Slice(0, k)
+	}
 	return out
 }
 
@@ -564,7 +872,7 @@ func (e *Engine) queryStreamPinned(ctx context.Context, sel *ast.Select, params 
 		norm[strings.ToLower(k)] = v
 	}
 	env := &baseEnv{params: norm}
-	sp, ok, err := e.compileStream(sel, env)
+	p, ok, err := e.compileStream(sel, env)
 	if err != nil {
 		e.metrics().statement("select", time.Since(start))
 		return nil, err
@@ -578,7 +886,7 @@ func (e *Engine) queryStreamPinned(ctx context.Context, sel *ast.Select, params 
 		}
 		return datasetCursor(ds), nil
 	}
-	cur := e.streamCursorFor(ctx, sp)
+	cur := e.pipelineCursor(ctx, p)
 	met := e.metrics()
 	cur.onClose = func() {
 		if release != nil {
@@ -619,41 +927,19 @@ func (sh *Shared) ReleaseAllCursorPins() {
 	}
 }
 
-// streamCursorFor picks the execution strategy for a compiled stream
-// plan: vectorized batch cursors when the pipeline compiled into
-// kernels, row cursors otherwise; parallel over scan chunks when the
-// morsel pool and store support it.
-func (e *Engine) streamCursorFor(ctx context.Context, sp *streamPlan) *Cursor {
-	cols := streamColumns(sp.items, sp.arr, sp.qual)
-	if effProvablyEmpty(sp.eff) {
-		// Disjoint slice ∩ predicate: an empty stream, no store walk.
-		next, stop := iter.Pull(func(func(cursorItem) bool) {})
-		return &Cursor{cols: cols, items: sp.items, next: next, stop: stop}
+// pipelineCursor opens a compiled statement pipeline as a cursor.
+func (e *Engine) pipelineCursor(ctx context.Context, p *pipeline) *Cursor {
+	return &Cursor{
+		cols:    p.stage.header,
+		src:     &exchange{e: e, p: p, ctx: ctx},
+		outCols: p.stage.outCols,
 	}
-	if sp.par > 1 && e.pool != nil && sp.arr.Store.Len() >= minParallelScanCells {
-		// Fan the scan itself out: chunks of the store are the morsel
-		// domain, and filter + projection run per chunk inside the
-		// scan — nothing is materialized up front.
-		if cs, ok := sp.arr.Store.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(sp.par*scanChunksPerWorker, sp.attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sp.skip, sp.arr.Store, chunks, sp.par*scanChunksPerWorker, sp.prof)
-				if sp.vec != nil {
-					return e.parallelVecCursor(ctx, sp, chunks, cols)
-				}
-				return e.parallelStreamCursor(ctx, sp, chunks, cols)
-			}
-		}
-	}
-	if sp.vec != nil {
-		return e.serialVecCursor(ctx, sp, cols)
-	}
-	return e.serialStreamCursor(ctx, sp, cols)
 }
 
-// compileStream vets the SELECT's shape and compiles the stream plan.
-// ok is false (with no error) when the statement must fall back to the
+// compileStream vets the SELECT's shape and compiles its pipeline. ok
+// is false (with no error) when the statement must take the
 // materializing path.
-func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool, error) {
+func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*pipeline, bool, error) {
 	if sel.SetRight != nil || sel.Distinct || len(sel.OrderBy) > 0 ||
 		sel.GroupBy != nil || len(sel.From) != 1 {
 		return nil, false, nil
@@ -687,66 +973,53 @@ func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool
 	if e.fromIsVacuous(sel, env) {
 		return nil, false, nil
 	}
-	sp := &streamPlan{arr: arr, qual: tr.Name, limit: -1, outer: env, prof: e.prof, budget: e.budget}
+	qual := tr.Name
 	if tr.Alias != "" {
-		sp.qual = tr.Alias
+		qual = tr.Alias
 	}
+	var sels []dimSel
 	if len(tr.Indexers) > 0 {
-		sels, err := e.resolveIndexers(arr, tr.Indexers, env)
+		s, err := e.resolveIndexers(arr, tr.Indexers, env)
 		if err != nil {
 			return nil, false, err
 		}
-		sp.sels = sels
+		sels = s
 	}
 	conjs := splitConjuncts(sel.Where)
 	consumed := make([]bool, len(conjs))
-	restrict := e.pushdownDims(arr, sp.qual, conjs, consumed, sp.sels, env)
+	restrict := e.pushdownDims(arr, qual, conjs, consumed, sels, env)
 	var remaining []ast.Expr
 	for i, c := range conjs {
 		if !consumed[i] {
 			remaining = append(remaining, c)
 		}
 	}
-	sp.where = andAll(remaining)
-	sp.having = sel.Having
-	sp.eff = effectiveSels(arr, sp.sels, restrict)
-	// An all-point scan is a single cell read; the materialized path's
-	// direct-read fast path keeps its exact hole semantics.
-	allPoint := len(arr.Schema.Dims) > 0
-	for i := range sp.eff {
-		if !sp.eff[i].point {
-			allPoint = false
-			break
-		}
-	}
-	if allPoint {
-		return nil, false, nil
-	}
+	p := &pipeline{eff: effectiveSels(arr, sels, restrict), limit: -1, prof: e.prof, budget: e.budget}
 	if sel.Limit != nil {
 		lv, err := e.Ev.Eval(sel.Limit, env)
 		if err != nil {
 			return nil, false, err
 		}
-		if n := int(lv.AsInt()); n >= 0 {
-			sp.limit = n
-		} else {
-			sp.limit = 0
-		}
+		p.limit = max(0, int(lv.AsInt()))
 	}
-	sp.items = expandStars(sel.Items, scanCols(arr, sp.qual))
-	for _, it := range sp.items {
+	st := &batchStage{outer: env, where: andAll(remaining), having: sel.Having}
+	st.items = expandStars(sel.Items, scanCols(arr, qual))
+	for _, it := range st.items {
 		if _, isStar := it.Expr.(*ast.Star); isStar {
-			return nil, false, fmt.Errorf("cannot expand * against %s", sp.qual)
+			return nil, false, fmt.Errorf("cannot expand * against %s", qual)
 		}
 	}
+	st.header = streamColumns(st.items, arr, qual)
 	dec := e.selectDecision(sel)
-	sp.par = dec.par
-	sp.attrs = dec.scanAttrs(arr, tr.Name)
-	sp.vec = e.compileStreamVec(sp)
+	attrs := dec.scanAttrs(arr, tr.Name)
+	p.cols = scanColsPruned(arr, qual, attrs)
+	e.compileStage(st, p.cols)
+	p.stage = st
 	// Single-source statement: unqualified identifiers bind to this
 	// array, so bare conjuncts are trusted for zone tests.
-	sp.skip = e.buildChunkSkipper(arr, sp.qual, sp.eff, remaining, true)
-	return sp, true, nil
+	sk := e.buildChunkSkipper(arr, qual, p.eff, remaining, true)
+	p.chunks, p.par = e.scanChunkList(arr, p.eff, attrs, dec.par, sk, p.prof)
+	return p, true, nil
 }
 
 // streamColumns builds the provisional column header of a streaming
@@ -768,450 +1041,4 @@ func streamColumns(items []ast.SelectItem, a *array.Array, qual string) []Col {
 		}
 	}
 	return cols
-}
-
-// serialStreamCursor walks the array store in a coroutine, yielding
-// one projected row per matching cell. Only one of producer and
-// consumer runs at a time (iter.Pull), so the path shares the serial
-// interpreter's single-threaded evaluation model.
-func (e *Engine) serialStreamCursor(ctx context.Context, sp *streamPlan, cols []Col) *Cursor {
-	nd := len(sp.arr.Schema.Dims)
-	scan := e.streamScan(sp)
-	seq := func(yield func(cursorItem) bool) {
-		srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-		srcRow := make([]value.Value, len(srcCols))
-		venv := &valuesEnv{cols: srcCols, vals: srcRow, outer: sp.outer}
-		emitted := 0
-		var cnt streamCounts
-		scanStart := time.Now()
-		defer func() { e.flushStreamCounts(sp, &cnt, time.Since(scanStart)) }()
-		if err := faultinject.Hit("scan.chunk"); err != nil {
-			yield(cursorItem{err: err})
-			return
-		}
-		scan(func(coords []int64, vals []value.Value) bool {
-			cnt.visited++
-			if cnt.visited&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					yield(cursorItem{err: err})
-					return false
-				}
-			}
-			if sp.limit >= 0 && emitted >= sp.limit {
-				return false
-			}
-			if !effMatch(sp.eff, coords) {
-				return true
-			}
-			cnt.matched++
-			for i, c := range coords {
-				srcRow[i] = value.Value{Typ: sp.arr.Schema.Dims[i].Typ, I: c}
-			}
-			copy(srcRow[nd:], vals)
-			row, keep, err := e.streamEvalRow(sp, venv, &cnt)
-			if err != nil {
-				yield(cursorItem{err: err})
-				return false
-			}
-			if !keep {
-				return true
-			}
-			if !yield(cursorItem{row: row}) {
-				return false
-			}
-			emitted++
-			cnt.emitted++
-			return sp.limit < 0 || emitted < sp.limit
-		})
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, next: next, stop: stop}
-}
-
-// streamEvalRow applies residual filter, HAVING and projection to one
-// source row bound in env, recording stage survivors in cnt.
-func (e *Engine) streamEvalRow(sp *streamPlan, env *valuesEnv, cnt *streamCounts) ([]value.Value, bool, error) {
-	if sp.where != nil {
-		ok, err := e.Ev.EvalBool(sp.where, env)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	cnt.postWhere++
-	if sp.having != nil {
-		ok, err := e.Ev.EvalBool(sp.having, env)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	out := make([]value.Value, len(sp.items))
-	for i, it := range sp.items {
-		v, err := e.Ev.Eval(it.Expr, env)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-// morselBatch is the unit the parallel stream sends from workers to
-// the consumer: the projected rows of one scan chunk, tagged with the
-// chunk ordinal for in-order merging.
-type morselBatch struct {
-	idx  int
-	rows [][]value.Value
-	err  error
-}
-
-// parallelStreamCursor fans the scan itself out over the morsel pool:
-// each worker walks its store chunks, applying the effective dimension
-// restriction, the residual filter and the projection per cell, and
-// sends the chunk's rows to the consumer, which reorders batches by
-// chunk ordinal. Chunk concatenation order equals serial scan order,
-// so iteration order (and results) are identical to the serial path.
-// Workers check ctx between chunks (and periodically inside a chunk)
-// and sends select on ctx.Done(), so canceling the query (or closing
-// the cursor early) stops the scan and leaks no goroutines.
-func (e *Engine) parallelStreamCursor(ctx context.Context, sp *streamPlan, chunks []array.ChunkScan, cols []Col) *Cursor {
-	nd := len(sp.arr.Schema.Dims)
-	srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-	ictx, cancel := context.WithCancel(ctx)
-	ch := make(chan morselBatch, 2*e.pool.Workers())
-	started := false
-	start := func() {
-		started = true
-		go func() {
-			defer close(ch)
-			err := e.pool.ForEachCtx(ictx, len(chunks), 1, func(m parallelMorsel) error {
-				for ci := m.Lo; ci < m.Hi; ci++ {
-					if err := faultinject.Hit("scan.chunk"); err != nil {
-						return err
-					}
-					srcRow := make([]value.Value, len(srcCols))
-					venv := &valuesEnv{cols: srcCols, vals: srcRow, outer: sp.outer}
-					var rows [][]value.Value
-					var evalErr error
-					var cnt streamCounts
-					chunkStart := time.Now()
-					chunks[ci](func(coords []int64, vals []value.Value) bool {
-						cnt.visited++
-						if cnt.visited&1023 == 0 {
-							if err := ictx.Err(); err != nil {
-								evalErr = err
-								return false
-							}
-						}
-						if !effMatch(sp.eff, coords) {
-							return true
-						}
-						cnt.matched++
-						for i, c := range coords {
-							srcRow[i] = value.Value{Typ: sp.arr.Schema.Dims[i].Typ, I: c}
-						}
-						copy(srcRow[nd:], vals)
-						row, keep, err := e.streamEvalRow(sp, venv, &cnt)
-						if err != nil {
-							evalErr = err
-							return false
-						}
-						if keep {
-							rows = append(rows, row)
-							cnt.emitted++
-							// LIMIT pushdown: the final result takes at
-							// most limit rows from any one chunk, so the
-							// chunk scan can stop early.
-							if sp.limit >= 0 && len(rows) >= sp.limit {
-								return false
-							}
-						}
-						return true
-					})
-					e.flushStreamCounts(sp, &cnt, time.Since(chunkStart))
-					if evalErr == nil {
-						// One charge per chunk for the buffered rows (the
-						// hotloopflush discipline: no atomics in the cell loop).
-						evalErr = chargeBudget(sp.budget, approxRowsBytes(rows))
-					}
-					if evalErr != nil {
-						return evalErr
-					}
-					select {
-					case ch <- morselBatch{idx: ci, rows: rows}:
-					case <-ictx.Done():
-						return ictx.Err()
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				select {
-				case ch <- morselBatch{err: err}:
-				case <-ictx.Done():
-				}
-			}
-		}()
-	}
-	seq := func(yield func(cursorItem) bool) {
-		defer cancel()
-		if !started {
-			start()
-		}
-		pending := make(map[int][][]value.Value)
-		nextIdx := 0
-		emitted := 0
-		for b := range ch {
-			if b.err != nil {
-				yield(cursorItem{err: b.err})
-				return
-			}
-			pending[b.idx] = b.rows
-			for {
-				rows, have := pending[nextIdx]
-				if !have {
-					break
-				}
-				delete(pending, nextIdx)
-				nextIdx++
-				for _, row := range rows {
-					if sp.limit >= 0 && emitted >= sp.limit {
-						return
-					}
-					if !yield(cursorItem{row: row}) {
-						return
-					}
-					emitted++
-				}
-			}
-		}
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, next: next, stop: stop, cancel: cancel}
-}
-
-// vecScanBatches drives one scan sequence through the batch buffer:
-// cells passing the effective dimension restriction accumulate into
-// srcCols column batches; flush runs at every vecBatchRows boundary
-// and once at the end, and returning false from flush stops the scan
-// (LIMIT satisfied or consumer gone). The context is polled every
-// 1024 visited cells; its error is returned. Both vectorized cursors
-// share this loop so their batch semantics cannot drift apart. The
-// segment's cell/survivor counts publish once at the end; when a
-// profile is armed, time spent inside flush (the kernel pipeline,
-// timed per operator in vecProcessBatch) is subtracted from the scan's
-// attribution.
-func (e *Engine) vecScanBatches(ctx context.Context, sp *streamPlan, scan func(visit func(coords []int64, vals []value.Value) bool), flush func(in *Dataset) bool) error {
-	if err := faultinject.Hit("scan.chunk"); err != nil {
-		return err
-	}
-	sv := sp.vec
-	nd := len(sp.arr.Schema.Dims)
-	in := NewDataset(sv.srcCols)
-	var ctxErr error
-	stopped := false
-	var cnt streamCounts
-	profiled := sp.prof != nil
-	scanStart := time.Now()
-	var flushed time.Duration
-	doFlush := func() bool {
-		var t0 time.Time
-		if profiled {
-			t0 = time.Now()
-		}
-		ok := flush(in)
-		if profiled {
-			flushed += time.Since(t0)
-		}
-		// Fresh buffers every flush: kernel outputs may hold zero-copy
-		// views of the batch columns.
-		in = NewDataset(sv.srcCols)
-		return ok
-	}
-	scan(func(coords []int64, vals []value.Value) bool {
-		cnt.visited++
-		if cnt.visited&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
-			}
-		}
-		if !effMatch(sp.eff, coords) {
-			return true
-		}
-		cnt.matched++
-		for i, c := range coords {
-			in.Vecs[i].(*bat.IntVector).AppendInt64(c)
-		}
-		for vi, v := range vals {
-			in.Vecs[nd+vi].Append(v)
-		}
-		if in.NumRows() >= vecBatchRows && !doFlush() {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if ctxErr == nil && !stopped {
-		doFlush()
-	}
-	m := e.metrics()
-	m.scanChunks.Inc()
-	m.scanCells.Add(cnt.visited)
-	if p := sp.prof; p != nil {
-		p.Scan.Chunks.Add(1)
-		p.Scan.Cells.Add(cnt.visited)
-		p.Scan.RowsOut.Add(cnt.matched)
-		p.Scan.AddNanos(time.Since(scanStart) - flushed)
-		p.Scan.VecBatches.Add(1)
-	}
-	return ctxErr
-}
-
-// serialVecCursor walks the array store serially, buffering matching
-// cells into column batches of vecBatchRows and running the compiled
-// kernel pipeline per batch. LIMIT short-circuits mid-chunk: once
-// enough rows have surfaced the store walk stops.
-func (e *Engine) serialVecCursor(ctx context.Context, sp *streamPlan, cols []Col) *Cursor {
-	sv := sp.vec
-	scan := e.streamScan(sp)
-	seq := func(yield func(vecBatch) bool) {
-		emitted := 0
-		var chargeErr error
-		err := e.vecScanBatches(ctx, sp, scan, func(in *Dataset) bool {
-			if in.NumRows() == 0 {
-				return sp.limit < 0 || emitted < sp.limit
-			}
-			max := -1
-			if sp.limit >= 0 {
-				max = sp.limit - emitted
-			}
-			out := e.vecProcessBatch(sp, in, max)
-			if cerr := chargeBudget(sp.budget, approxDatasetBytes(out)); cerr != nil {
-				chargeErr = cerr
-				return false
-			}
-			emitted += out.NumRows()
-			if out.NumRows() > 0 && !yield(vecBatch{ds: out}) {
-				return false
-			}
-			return sp.limit < 0 || emitted < sp.limit
-		})
-		if err == nil {
-			err = chargeErr
-		}
-		if err != nil {
-			yield(vecBatch{err: err})
-		}
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, nextBatch: next, stopBatch: stop, batchCols: sv.outCols}
-}
-
-// parallelVecCursor fans the scan out over the morsel pool with the
-// kernel pipeline running per batch inside each chunk. Per-chunk
-// output is capped at LIMIT rows (the final result takes at most that
-// many from any chunk), and the consumer stops pulling — canceling the
-// workers, so no further chunks are scheduled — once enough rows have
-// surfaced across the ordered prefix.
-func (e *Engine) parallelVecCursor(ctx context.Context, sp *streamPlan, chunks []array.ChunkScan, cols []Col) *Cursor {
-	sv := sp.vec
-	ictx, cancel := context.WithCancel(ctx)
-	type chunkBatch struct {
-		idx int
-		ds  *Dataset
-		err error
-	}
-	ch := make(chan chunkBatch, 2*e.pool.Workers())
-	started := false
-	start := func() {
-		started = true
-		go func() {
-			defer close(ch)
-			err := e.pool.ForEachCtx(ictx, len(chunks), 1, func(m parallelMorsel) error {
-				for ci := m.Lo; ci < m.Hi; ci++ {
-					out := &Dataset{Cols: sv.outCols, Vecs: make([]bat.Vector, len(sv.outCols))}
-					for i, c := range sv.outCols {
-						out.Vecs[i] = bat.New(c.Typ, 0)
-					}
-					err := e.vecScanBatches(ictx, sp, chunks[ci], func(in *Dataset) bool {
-						if in.NumRows() == 0 {
-							return true
-						}
-						max := -1
-						if sp.limit >= 0 {
-							max = sp.limit - out.NumRows()
-						}
-						b := e.vecProcessBatch(sp, in, max)
-						for i := range out.Vecs {
-							out.Vecs[i] = bat.Concat(out.Vecs[i], b.Vecs[i])
-						}
-						return sp.limit < 0 || out.NumRows() < sp.limit
-					})
-					if err != nil {
-						return err
-					}
-					if err := chargeBudget(sp.budget, approxDatasetBytes(out)); err != nil {
-						return err
-					}
-					select {
-					case ch <- chunkBatch{idx: ci, ds: out}:
-					case <-ictx.Done():
-						return ictx.Err()
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				select {
-				case ch <- chunkBatch{err: err}:
-				case <-ictx.Done():
-				}
-			}
-		}()
-	}
-	seq := func(yield func(vecBatch) bool) {
-		defer cancel()
-		if !started {
-			start()
-		}
-		pending := make(map[int]*Dataset)
-		nextIdx := 0
-		emitted := 0
-		for b := range ch {
-			if b.err != nil {
-				yield(vecBatch{err: b.err})
-				return
-			}
-			pending[b.idx] = b.ds
-			for {
-				ds, have := pending[nextIdx]
-				if !have {
-					break
-				}
-				delete(pending, nextIdx)
-				nextIdx++
-				if sp.limit >= 0 && emitted+ds.NumRows() > sp.limit {
-					ds = headRows(ds, sp.limit-emitted)
-				}
-				emitted += ds.NumRows()
-				if ds.NumRows() > 0 && !yield(vecBatch{ds: ds}) {
-					return
-				}
-				if sp.limit >= 0 && emitted >= sp.limit {
-					return
-				}
-			}
-		}
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, nextBatch: next, stopBatch: stop, batchCols: sv.outCols, cancel: cancel}
-}
-
-// headRows returns the first k rows of ds as a fresh dataset.
-func headRows(ds *Dataset, k int) *Dataset {
-	out := &Dataset{Cols: ds.Cols, Vecs: make([]bat.Vector, len(ds.Vecs))}
-	for i, v := range ds.Vecs {
-		out.Vecs[i] = v.Slice(0, k)
-	}
-	return out
 }

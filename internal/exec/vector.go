@@ -902,25 +902,22 @@ func (ent *vecCacheEntry) sigMatchesEntry(cols []Col, strict bool) bool {
 	return true
 }
 
-// invalidateVecCache drops compiled programs and fused-path verdicts
-// (parallelism or the vectorization knob change what the fused path
-// offers; DDL needs no explicit drop — programs validate against the
-// current column signature and fused verdicts carry a catalog-version
-// stamp).
-func (e *Engine) invalidateVecCache() {
-	e.vecMu.Lock()
-	e.vecCache = nil
-	e.fusedSkip = nil
-	e.vecMu.Unlock()
-}
-
 // --- output finalization -----------------------------------------------------
 
 // finalizeVecOutput applies buildProjected's type-promotion rule to a
-// vectorized output column: a column with no non-NULL values becomes a
-// Float column of NULLs (promoteType's fallback), anything else keeps
-// its static kernel type.
+// whole output column of the scan pipeline. An interpreted column
+// (boxed, type Unknown) promotes over all its values; a kernel column
+// with no non-NULL values becomes a Float column of NULLs (promoteType's
+// fallback), anything else keeps its static kernel type.
 func finalizeVecOutput(vec bat.Vector) (bat.Vector, value.Type) {
+	if vec.Type() == value.Unknown {
+		vals := make([]value.Value, vec.Len())
+		for i := range vals {
+			vals[i] = vec.Get(i)
+		}
+		t := promoteType(vals)
+		return bat.FromValues(t, vals), t
+	}
 	if bat.HasNonNull(vec) {
 		return vec, vec.Type()
 	}

@@ -132,6 +132,26 @@ func TestStreamingIsIncremental(t *testing.T) {
 	if !rows.Next() {
 		t.Fatalf("no rows: %v", rows.Err())
 	}
+	// A point SELECT streams too: its scan is the one-cell direct read.
+	const point = `SELECT v FROM matrix WHERE x = 2 AND y = 3`
+	pr, err := db.QueryContext(context.Background(), point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if !pr.cur.Streaming() {
+		t.Fatal("point query did not take the streaming path")
+	}
+	if !pr.Next() || pr.Values()[0].String() != "11" {
+		t.Fatalf("point query row = %v (err %v), want 11", pr.Values(), pr.Err())
+	}
+	an, err := db.Query("EXPLAIN ANALYZE " + point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(an.String(), " cells=1 ") && !strings.Contains(an.String(), " cells=1)") {
+		t.Fatalf("point query EXPLAIN ANALYZE does not report cells=1:\n%s", an)
+	}
 	// Aggregations fall back to the materialized path, same interface.
 	agg, err := db.QueryContext(context.Background(), `SELECT AVG(v) FROM matrix`)
 	if err != nil {

@@ -1,8 +1,13 @@
 package sciql
 
 import (
+	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/value"
 )
 
 // vectorQuerySet stresses exactly the semantics the kernel surface
@@ -213,4 +218,95 @@ func TestVectorizedLimitPushdown(t *testing.T) {
 		}
 	}
 	db.Vectorize(true)
+}
+
+// TestPerExpressionFallback pins the scan pipeline's per-expression
+// fallback: a streamable SELECT whose projection mixes kernel items
+// with an interpreted CASE item runs as one batch pipeline, and the
+// CASE column — Int-only over the first 4096-cell chunk (x = 0), Float
+// over the others — takes one whole-column type at materialization.
+// Results are byte-identical under every storage scheme, vectorization
+// setting and parallelism, through db.Query and through row-by-row
+// iteration (row sets agree across schemes, whose scan orders differ);
+// a per-batch promotion would leave Int cells in the materialized
+// column and fail the type check.
+func TestPerExpressionFallback(t *testing.T) {
+	const q = `SELECT x, y, CASE WHEN x = 0 THEN y ELSE v / 2 END AS c, v + 1 AS p FROM f WHERE v > 2`
+	const wantRows = 3*4096 - 3
+	var rowSet string
+	for _, scheme := range []string{"virtual", "tabular", "dorder", "slab"} {
+		want := ""
+		db := Open()
+		db.SetStorageHint("f", scheme, 64)
+		db.MustExec(`CREATE ARRAY f (x INTEGER DIMENSION[3], y INTEGER DIMENSION[4096], v FLOAT DEFAULT 0.0)`)
+		db.MustExec(`UPDATE f SET v = x * 4096 + y`)
+		for _, vec := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				db.Vectorize(vec)
+				db.Parallelism(par)
+				name := fmt.Sprintf("%s vec=%v par=%d", scheme, vec, par)
+				rs, err := db.Query(q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if rs.NumRows() != wantRows {
+					t.Fatalf("%s: %d rows, want %d", name, rs.NumRows(), wantRows)
+				}
+				if rs.Cols[2].Typ != value.Float {
+					t.Fatalf("%s: CASE column typed %v, want FLOAT", name, rs.Cols[2].Typ)
+				}
+				for r := 0; r < rs.NumRows(); r++ {
+					if v := rs.Get(r, 2); v.Typ != value.Float {
+						t.Fatalf("%s: row %d of the CASE column is %v %s: promoted per batch, not per column", name, r, v.Typ, v)
+					}
+				}
+				got := rs.String()
+				if want == "" {
+					want = got
+					lines := renderResult(rs)
+					sort.Strings(lines)
+					if set := strings.Join(lines, "\n"); rowSet == "" {
+						rowSet = set
+					} else if set != rowSet {
+						t.Fatalf("%s: row set differs from the virtual scheme's", name)
+					}
+				} else if got != want {
+					t.Fatalf("%s: db.Query differs from vec=false par=1", name)
+				}
+				rows, err := db.QueryContext(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				streamed := drainRows(t, rows)
+				for r, line := range streamed {
+					parts := make([]string, rs.NumCols())
+					for c := range parts {
+						parts[c] = rs.Get(r, c).String()
+					}
+					if line != strings.Join(parts, "|") {
+						t.Fatalf("%s: streamed row %d = %s, materialized %s", name, r, line, strings.Join(parts, "|"))
+					}
+				}
+				if len(streamed) != wantRows {
+					t.Fatalf("%s: streamed %d rows, want %d", name, len(streamed), wantRows)
+				}
+				if !vec {
+					continue
+				}
+				an, err := db.Query("EXPLAIN ANALYZE " + q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				project := ""
+				for r := 0; r < an.NumRows(); r++ {
+					if line := an.Get(r, 0).S; strings.Contains(line, "Project") {
+						project = line
+					}
+				}
+				if !strings.Contains(project, "[mixed]") {
+					t.Fatalf("%s: Project not reported [mixed]:\n%s", name, an)
+				}
+			}
+		}
+	}
 }
